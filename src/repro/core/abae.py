@@ -1,35 +1,55 @@
 """End-to-end ABAE over a Spark DataFrame (single predicate).
 
-This is the query-processing path: the full dataset only ever flows
-through *cheap* Catalyst operators (proxy stratification, seeded rank,
-filters); the expensive oracle UDF touches **only sampled rows**, which
-is the entire point of the paper. The dataflow is:
+This is the query-processing path: the full table only ever flows
+through *cheap* Catalyst operators (a count, the proxy ``ntile``, a hash
+filter); the expensive oracle UDF touches **only sampled rows**, which
+is the entire point of the paper. After the one pass that stratifies
+the table, a query's work is O(N). The dataflow is:
 
-1. ``add_stratum`` — exact proxy-quantile strata (Algorithm 1 Init).
-2. A deterministic per-stratum sampling order via ``xxhash64(id, seed)``
-   ranked within each stratum (window partitioned by stratum ⇒ runs in
-   parallel across strata). One ordering serves both stages: Stage 1
-   takes ranks 1..N₁/K, Stage 2 takes the next ⌊N₂·T̂_k⌋ ranks — this
-   is sampling without replacement with sample reuse.
-3. Stage-1 plug-in estimates via ``groupBy(stratum).agg`` (K rows to
-   the driver), allocation by Proposition 1.
-4. Stage-2 filter + oracle, final per-stratum estimates, combined
-   answer; optional bootstrap CI (Algorithm 2) over the collected
-   sample values (≤ N rows).
+1. ``count()`` gives |D| and with it the ntile strata sizes |D_k| on
+   the driver.
+2. ``add_stratum`` — exact proxy-quantile strata (Algorithm 1 Init), in
+   one pass over a narrow projection of the table.
+3. Each stratum's sampling order is ``(xxhash64(id, seed), id)``, a pure
+   function of the row, so it is stable across stages and
+   re-evaluations (unlike ``rand()``). A query draws at most
+   m = N₁/K + N₂ rows from a stratum, so it keeps only the candidates
+   whose hash lies below a threshold sized to hold m + 6√m + 32 rows of
+   the smallest stratum (a margin of about 6σ). The candidates are a
+   prefix of each stratum's order, so ``row_number`` over them gives the
+   same first m ranks as over the whole stratum. The same window pass
+   counts each stratum's candidates. The small candidate frame is
+   persisted, still in the single partition of the ``ntile`` output.
+4. Stage 1 labels ranks 1..N₁/K of each stratum and collects them
+   (≤ N₁ rows). The pilot p̂_k, σ̂_k come from those rows through the
+   numpy estimator, then the allocation T̂ by Proposition 1.
+5. Stage 2 labels ranks (N₁/K, N₁/K + ⌊N₂·T̂_k⌋] — sampling without
+   replacement with sample reuse — and the final per-stratum estimates,
+   the combined answer and the optional bootstrap CI (Algorithm 2) come
+   from the ≤ N collected rows.
+
+If a stratum holds fewer candidates than its draws, the missing ranks
+come from the unfiltered ranking: the same order, so the sample is the
+same, no row is labeled twice and no sample comes back short. Before
+each oracle stage the planned row count is checked against the oracle's
+remaining budget on the driver, since the accumulator that meters the
+UDF can only be read after a job has labeled its rows.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.window import Window
 
 from repro.core.allocation import optimal_allocation, stage2_counts
 from repro.core.bootstrap import bootstrap_ci
-from repro.core.estimator import combine
-from repro.core.sampler import split_budget
+from repro.core.estimator import StratumEstimate, combine, plugin_estimates
+from repro.core.sampler import check_pilot_budget, split_budget
 from repro.core.stratify import add_stratum
 from repro.simulate.oracles import SimulatedOracle
 
@@ -57,43 +77,49 @@ class ABAEQueryResult:
     samples: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
-def _ranked(df: DataFrame, k: int, proxy_col: str, id_col: str, seed: int) -> DataFrame:
-    """Stratify and attach a deterministic per-stratum sampling rank.
+def _hash_threshold(m: int, size: int) -> int | None:
+    """The ``xxhash64`` cutoff below which a stratum of ``size`` rows keeps
+    about m + 6√m + 32 of them: m draws with a margin of ~6σ. None when
+    that is the whole stratum (no prefilter)."""
+    keep = m + 6.0 * math.sqrt(m) + 32.0
+    if keep >= size:
+        return None
+    return int(keep / size * 2.0**64) - 2**63
 
-    ``xxhash64(id, seed)`` is a pure function of the row, so the rank
-    is stable across stages and re-evaluations (unlike ``rand()``).
+
+def _rank(stratified: DataFrame, id_col: str) -> DataFrame:
+    """Attach each row's 1-based rank in its stratum's (hash, id) order."""
+    w = Window.partitionBy("stratum").orderBy(F.col("_h"), F.col(id_col))
+    return stratified.withColumn("_rank", F.row_number().over(w))
+
+
+def _label(oracle: SimulatedOracle, ranked: DataFrame, lo: np.ndarray, hi: np.ndarray) -> DataFrame:
+    """Ranks (lo_k, hi_k] of every stratum k, labeled by the oracle.
+
+    Raises BudgetExceededError on the driver, before any row is labeled,
+    if those rows do not fit the oracle's remaining budget.
     """
-    out = add_stratum(df, k, proxy_col=proxy_col, id_col=id_col)
-    w = Window.partitionBy("stratum").orderBy(
-        F.xxhash64(F.col(id_col), F.lit(seed)), F.col(id_col)
+    oracle.check_budget(int(np.maximum(hi - lo, 0).sum()))
+    # One SQL string, parsed in one call: the same predicate built from
+    # Column objects costs ~10 py4j round trips per stratum.
+    bands = " OR ".join(
+        f"(stratum = {i} AND _rank > {lo[i]} AND _rank <= {hi[i]})"
+        for i in np.flatnonzero(hi > lo)
     )
-    return out.withColumn("_rank", F.row_number().over(w))
+    return oracle.apply(ranked.filter(bands or "false"))
 
 
-def _strata_stats(labeled: DataFrame, value_col: str, k: int) -> tuple[np.ndarray, ...]:
-    """Per-stratum (n, n_pos, μ̂, σ̂) from an oracle-labeled sample."""
-    pos_val = F.when(F.col("oracle_label") == 1, F.col(value_col))
-    rows = (
-        labeled.groupBy("stratum")
-        .agg(
-            F.count(F.lit(1)).alias("n"),
-            F.sum("oracle_label").alias("n_pos"),
-            F.avg(pos_val).alias("mu"),
-            F.stddev_samp(pos_val).alias("sigma"),
-        )
-        .collect()
-    )
-    n = np.zeros(k)
-    n_pos = np.zeros(k)
-    mu = np.zeros(k)
-    sigma = np.zeros(k)
-    for r in rows:
-        s = int(r["stratum"])
-        n[s] = r["n"]
-        n_pos[s] = r["n_pos"] or 0
-        mu[s] = r["mu"] if r["mu"] is not None else 0.0
-        sigma[s] = r["sigma"] if r["sigma"] is not None else 0.0
-    return n, n_pos, mu, sigma
+def _per_stratum(
+    labeled: pd.DataFrame, k: int, value_col: str
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[StratumEstimate]]:
+    """Each stratum's labeled (values, labels) in rank order, and their
+    plug-in estimates."""
+    labeled = labeled.sort_values(["stratum", "_rank"])
+    samples = []
+    for i in range(k):
+        sub = labeled[labeled["stratum"] == i]
+        samples.append((sub[value_col].to_numpy(dtype=float), sub["oracle_label"].to_numpy()))
+    return samples, [plugin_estimates(v, l) for v, l in samples]
 
 
 def abae_query(
@@ -112,66 +138,69 @@ def abae_query(
 ) -> ABAEQueryResult:
     """Answer ``SELECT AVG(value) WHERE O(x) ORACLE LIMIT n_budget``
     with ABAE on a Spark DataFrame. See module docstring for dataflow.
+
+    Raises:
+        ValueError: if ``n_budget`` is smaller than ``k``.
+        BudgetExceededError: before a stage whose rows exceed the
+            oracle's remaining budget is labeled.
     """
-    ranked = _ranked(df, k, proxy_col, id_col, seed).persist()
+    check_pilot_budget(n_budget, k)
+    n1_per, n2 = split_budget(n_budget, k, stage1_frac)
+    q, r = divmod(df.count(), k)
+    sizes = np.full(k, q, dtype=np.int64)
+    sizes[:r] += 1  # ntile's first |D| mod K tiles hold one row more
+    n1 = np.minimum(n1_per, sizes)
+
+    cols = list(dict.fromkeys([id_col, proxy_col, value_col, oracle.label_col]))
+    stratified = add_stratum(df.select(*cols), k, proxy_col=proxy_col, id_col=id_col)
+    stratified = stratified.withColumn("_h", F.xxhash64(F.col(id_col), F.lit(seed)))
+    threshold = _hash_threshold(n1_per + n2, q)
+    cands = stratified if threshold is None else stratified.filter(F.col("_h") < threshold)
+    cands = _rank(cands, id_col)
+    cands = cands.withColumn("_cands", F.count(F.lit(1)).over(Window.partitionBy("stratum")))
+    cands = cands.persist()
+    out = ["stratum", "_rank", value_col, "oracle_label"]
     try:
-        n1_per, n2 = split_budget(n_budget, k, stage1_frac)
-
-        # Persist the labeled Stage-1 sample: it is consumed twice (for
-        # the pilot stats and in the final union) and re-evaluating it
-        # would re-invoke the oracle — double-charging the budget.
-        stage1 = oracle.apply(ranked.filter(F.col("_rank") <= n1_per)).persist()
-        n1, n_pos1, _, sigma1 = _strata_stats(stage1, value_col, k)
-        p1 = np.divide(n_pos1, n1, out=np.zeros(k), where=n1 > 0)
-
-        t_hat = optimal_allocation(p1, sigma1)
-        extra = stage2_counts(t_hat, n2)
-
-        # rank ∈ (n1_per, n1_per + extra_k] per stratum.
-        limit_expr = F.lit(int(n1_per))
-        for i in range(k):
-            limit_expr = F.when(
-                F.col("stratum") == i, F.lit(int(n1_per + extra[i]))
-            ).otherwise(limit_expr)
-        stage2 = oracle.apply(
-            ranked.filter((F.col("_rank") > n1_per) & (F.col("_rank") <= limit_expr))
+        stage1 = _label(oracle, cands, np.zeros(k, dtype=np.int64), n1).select(*out, "_cands")
+        stage1 = pd.DataFrame.from_records(stage1.collect(), columns=[*out, "_cands"])
+        n_cands = np.zeros(k, dtype=np.int64)
+        strata1 = stage1["stratum"].to_numpy(dtype=np.int64)
+        n_cands[strata1] = stage1["_cands"].to_numpy(dtype=np.int64)
+        have = np.minimum(n_cands, n1)
+        stage1 = stage1[out]
+        if (have < n1).any():  # candidate shortfall: top up from the full ranking
+            topup = _label(oracle, _rank(stratified, id_col), have, n1).select(*out).toPandas()
+            stage1 = pd.concat([stage1, topup], ignore_index=True)
+        _, pilot = _per_stratum(stage1, k, value_col)
+        t_hat = optimal_allocation(
+            np.array([e.p_hat for e in pilot]), np.array([e.sigma_hat for e in pilot])
         )
-
-        sampled = stage1.unionByName(stage2)
-        pdf = sampled.select("stratum", value_col, "oracle_label").toPandas()
-        stage1.unpersist()
-        samples = []
-        final_p = np.zeros(k)
-        final_mu = np.zeros(k)
-        final_sigma = np.zeros(k)
-        for i in range(k):
-            sub = pdf[pdf["stratum"] == i]
-            v = sub[value_col].to_numpy(dtype=float)
-            l = sub["oracle_label"].to_numpy()
-            samples.append((v, l))
-            pos = v[l == 1]
-            final_p[i] = pos.size / v.size if v.size else 0.0
-            final_mu[i] = float(pos.mean()) if pos.size else 0.0
-            final_sigma[i] = float(pos.std(ddof=1)) if pos.size > 1 else 0.0
-
-        est = combine(final_p, final_mu)
-        ci = None
-        if n_boot > 0:
-            ci = bootstrap_ci(
-                samples, np.random.default_rng(seed + 7), n_boot=n_boot, alpha=alpha
-            )
-        return ABAEQueryResult(
-            estimate=est,
-            ci=ci,
-            oracle_calls=oracle.calls,
-            p_hat=final_p,
-            mu_hat=final_mu,
-            sigma_hat=final_sigma,
-            allocation=t_hat,
-            samples=samples,
-        )
+        hi = np.minimum(n1 + stage2_counts(t_hat, n2), sizes)
+        ranked = cands if (n_cands >= hi).all() else _rank(stratified, id_col)
+        stage2 = _label(oracle, ranked, n1, hi).select(*out).toPandas()
     finally:
-        ranked.unpersist()
+        # Blocking, so the block removal does not run on into the next job.
+        cands.unpersist(blocking=True)
+
+    samples, final = _per_stratum(pd.concat([stage1, stage2], ignore_index=True), k, value_col)
+    final_p = np.array([e.p_hat for e in final])
+    final_mu = np.array([e.mu_hat for e in final])
+
+    ci = None
+    if n_boot > 0:
+        ci = bootstrap_ci(
+            samples, np.random.default_rng(seed + 7), n_boot=n_boot, alpha=alpha
+        )
+    return ABAEQueryResult(
+        estimate=combine(final_p, final_mu),
+        ci=ci,
+        oracle_calls=oracle.calls,
+        p_hat=final_p,
+        mu_hat=final_mu,
+        sigma_hat=np.array([e.sigma_hat for e in final]),
+        allocation=t_hat,
+        samples=samples,
+    )
 
 
 def uniform_query(
@@ -186,38 +215,55 @@ def uniform_query(
     alpha: float = 0.05,
 ) -> ABAEQueryResult:
     """Uniform-sampling baseline as a Spark query: take the first
-    ``n_budget`` ranks of a seeded hash ordering (a uniform without-
+    ``n_budget`` rows of a seeded hash ordering (a uniform without-
     replacement sample), label them with the oracle, average the
     positives.
 
-    The sample is selected with a rank window + filter rather than
-    ``orderBy().limit()``: the latter compiles to TakeOrderedAndProject
-    whose projection evaluates the oracle UDF outside a task, losing
-    the accumulator updates that meter the oracle budget.
+    The sample is the top ``n_budget`` by (hash, id) of a narrow
+    projection, via ``orderBy().limit()``: a parallel top-k, where a
+    global rank window would sort every row in one task. On its own,
+    that plan compiles to TakeOrderedAndProject, whose projection — and
+    with it the oracle UDF — is evaluated on the driver outside any
+    task, losing the accumulator updates that meter the oracle budget.
+    The ``coalesce(1)`` between the limit and the oracle puts the UDF
+    back inside a task — the one that merges the per-partition top-k —
+    so every call is metered, in one Spark job of two stages (a
+    ``repartition(1)`` there would add a shuffle and a second job). The
+    query plans ``n_budget`` calls and raises BudgetExceededError
+    before labeling if they exceed the oracle's remaining budget.
     """
-    w = Window.orderBy(F.xxhash64(F.col(id_col), F.lit(seed)), F.col(id_col))
+    oracle.check_budget(n_budget)
+    cols = list(dict.fromkeys([id_col, value_col, oracle.label_col]))
     sampled = (
-        df.withColumn("_rank", F.row_number().over(w))
-        .filter(F.col("_rank") <= n_budget)
+        df.select(*cols)
+        .withColumn("_h", F.xxhash64(F.col(id_col), F.lit(seed)))
+        .orderBy("_h", id_col)
+        .limit(n_budget)
+        .coalesce(1)
     )
-    labeled = oracle.apply(sampled)
-    pdf = labeled.select(value_col, "oracle_label").toPandas()
+    # The merged top-k comes out in (hash, id) order, but Spark does not
+    # promise that order, so it is restored on the driver.
+    pdf = (
+        oracle.apply(sampled)
+        .select("_h", id_col, value_col, "oracle_label")
+        .toPandas()
+        .sort_values(["_h", id_col])
+    )
     v = pdf[value_col].to_numpy(dtype=float)
     l = pdf["oracle_label"].to_numpy()
-    pos = v[l == 1]
-    est = float(pos.mean()) if pos.size else 0.0
+    est = plugin_estimates(v, l)
     ci = None
     if n_boot > 0:
         ci = bootstrap_ci(
             [(v, l)], np.random.default_rng(seed + 7), n_boot=n_boot, alpha=alpha
         )
     return ABAEQueryResult(
-        estimate=est,
+        estimate=est.mu_hat,
         ci=ci,
         oracle_calls=oracle.calls,
-        p_hat=np.array([pos.size / v.size if v.size else 0.0]),
-        mu_hat=np.array([est]),
-        sigma_hat=np.array([float(pos.std(ddof=1)) if pos.size > 1 else 0.0]),
+        p_hat=np.array([est.p_hat]),
+        mu_hat=np.array([est.mu_hat]),
+        sigma_hat=np.array([est.sigma_hat]),
         allocation=np.array([]),
         samples=[(v, l)],
     )

@@ -14,7 +14,7 @@ numpy arrays (see ``core.stratify.strata_arrays``):
 Without-replacement across stages is implemented with one random
 permutation per stratum per trial: Stage 1 takes the first ranks,
 Stage 2 the next ranks — the same ordering trick the Spark path uses
-with a seeded ``rand()`` rank.
+with a seeded ``xxhash64`` rank.
 
 Baselines: ``uniform_trial`` (the paper's main comparison) and
 ``abae_trial(..., reuse=False)`` (the Fig. 9 lesion).
@@ -62,6 +62,16 @@ def split_budget(n_budget: int, k: int, stage1_frac: float) -> tuple[int, int]:
     return n1_per, max(0, n2)
 
 
+def check_pilot_budget(n_budget: int, k: int) -> None:
+    """Reject ``ORACLE LIMIT`` N < K for ABAE: Stage 1 draws at least one
+    pilot record from every stratum, so it alone would spend K > N
+    calls."""
+    if n_budget < k:
+        raise ValueError(
+            f"ABAE needs a budget of at least one draw per stratum: N={n_budget} < K={k}"
+        )
+
+
 def abae_trial(
     strata: list[tuple[np.ndarray, np.ndarray]],
     n_budget: int,
@@ -81,8 +91,12 @@ def abae_trial(
         reuse: reuse Stage-1 samples in the final estimates (lesion
             study disables this).
         oracle: optional ``SimulatedOracle`` to charge invocations to.
+
+    Raises:
+        ValueError: if ``n_budget`` is smaller than the number of strata.
     """
     k = len(strata)
+    check_pilot_budget(n_budget, k)
     n1_per, n2 = split_budget(n_budget, k, stage1_frac)
 
     perms = []

@@ -54,6 +54,16 @@ class SimulatedOracle:
         self._charge(values.size)
         return values
 
+    def check_budget(self, n: int) -> None:
+        """Raise BudgetExceededError, before any call is made, if ``n``
+        more calls would exceed the budget (the Spark path's guard; see
+        :meth:`spark_udf`)."""
+        if self.budget is not None and self.calls + int(n) > self.budget:
+            raise BudgetExceededError(
+                f"oracle budget exceeded: {self.calls} spent + {int(n)} planned"
+                f" > {self.budget}"
+            )
+
     def _charge(self, n: int) -> None:
         self._count += int(n)
         if self.budget is not None and self.calls > self.budget:
@@ -66,7 +76,12 @@ class SimulatedOracle:
     # ------------------------------------------------------------------
     def spark_udf(self, spark: SparkSession):
         """A pandas UDF ``oracle(hidden_label) -> label`` that counts
-        invocations with a Spark accumulator (sums across executors)."""
+        invocations with a Spark accumulator (sums across executors).
+
+        The UDF itself cannot enforce ``budget``: executors only add to
+        the accumulator, and the driver sees the sum after the job. The
+        Spark queries call :meth:`check_budget` with each stage's planned
+        row count first."""
         import pyspark.sql.functions as F  # noqa: F811  (udf decorator)
 
         if self._acc is None:

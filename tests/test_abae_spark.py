@@ -5,11 +5,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from pyspark.sql import Window
 from pyspark.sql import functions as F
 
+from repro.core import abae
 from repro.core.abae import abae_query, uniform_query
+from repro.core.allocation import optimal_allocation, stage2_counts
+from repro.core.estimator import combine, plugin_estimates
+from repro.core.sampler import split_budget
+from repro.core.stratify import add_stratum
 from repro.oracle import assert_equivalent
-from repro.simulate.oracles import SimulatedOracle
+from repro.simulate.oracles import BudgetExceededError, SimulatedOracle
 
 pytestmark = pytest.mark.spark
 
@@ -77,11 +83,125 @@ class TestAbaeQuery:
         assert np.mean(ests) == pytest.approx(truth, rel=0.1)
 
 
+    def test_budget_below_strata_rejected(self, ns_df):
+        """N < K cannot pilot every stratum: rejected before any call."""
+        oracle = SimulatedOracle("label")
+        with pytest.raises(ValueError):
+            abae_query(ns_df, n_budget=3, oracle=oracle, k=5, seed=1)
+        assert oracle.calls == 0
+
+    @pytest.mark.parametrize("budget", [100, 700])
+    def test_oracle_limit_enforced(self, ns_df, budget):
+        """An oracle budget below the query's plan raises before the
+        stage that would exceed it labels a row: 100 stops Stage 1 (500
+        rows), 700 lets Stage 1 run and stops Stage 2."""
+        oracle = SimulatedOracle("label", budget=budget)
+        with pytest.raises(BudgetExceededError):
+            abae_query(ns_df, n_budget=1000, oracle=oracle, seed=1)
+        assert oracle.calls == (0 if budget < 500 else 500)
+        assert oracle.calls <= budget
+
+
+def _reference_abae(df, n_budget, k, seed):
+    """The unfiltered query: ntile strata, a rank window over every row
+    of each stratum, and the two stages as prefixes of that ranking."""
+    w = Window.partitionBy("stratum").orderBy(F.xxhash64(F.col("id"), F.lit(seed)), F.col("id"))
+    ranked = (
+        add_stratum(df, k)
+        .withColumn("_rank", F.row_number().over(w))
+        .select("stratum", "_rank", "value", "label")
+        .toPandas()
+        .sort_values(["stratum", "_rank"])
+    )
+    n1_per, n2 = split_budget(n_budget, k, 0.5)
+    strata = [ranked[ranked["stratum"] == i] for i in range(k)]
+    pilot = [plugin_estimates(s["value"].iloc[:n1_per], s["label"].iloc[:n1_per]) for s in strata]
+    t_hat = optimal_allocation(
+        np.array([e.p_hat for e in pilot]), np.array([e.sigma_hat for e in pilot])
+    )
+    extra = stage2_counts(t_hat, n2)
+    return [
+        (s["value"].to_numpy(dtype=float)[: n1_per + e], s["label"].to_numpy()[: n1_per + e])
+        for s, e in zip(strata, extra)
+    ]
+
+
+def _assert_same_sample(res, ref):
+    for (v, l), (rv, rl) in zip(res.samples, ref):
+        np.testing.assert_array_equal(v, rv)
+        np.testing.assert_array_equal(l, rl)
+    assert res.oracle_calls == sum(v.size for v, _ in ref)
+    final = [plugin_estimates(v, l) for v, l in ref]
+    assert res.estimate == combine(
+        np.array([e.p_hat for e in final]), np.array([e.mu_hat for e in final])
+    )
+
+
+class TestSampleIdentity:
+    """The hash-prefix candidate path returns exactly the sample of the
+    unfiltered ranking: same rows per stratum in the same order, same
+    labels, estimate and oracle calls."""
+
+    @pytest.mark.parametrize(
+        "n_budget,seed",
+        [
+            (600, 0),
+            (2000, 1),
+            (2000, 2),
+            (1000, 3),
+            # n1_per + N2 covers whole strata (3,892 rows each): no prefilter.
+            (8000, 4),
+        ],
+    )
+    def test_abae_matches_unfiltered_ranking(self, ns_df, n_budget, seed):
+        oracle = SimulatedOracle("label")
+        res = abae_query(ns_df, n_budget=n_budget, oracle=oracle, seed=seed)
+        _assert_same_sample(res, _reference_abae(ns_df, n_budget, 5, seed))
+
+    @pytest.mark.parametrize(
+        "keep",
+        [pytest.param(1 / 3, id="stage2-short"), pytest.param(1 / 12, id="stage1-short")],
+    )
+    def test_candidate_shortfall_falls_back(self, ns_df, monkeypatch, keep):
+        """A threshold that keeps too few candidates (1/3 of the draws
+        starves Stage 2; 1/12 starves Stage 1 too) still returns the
+        full sample, labeling no row twice."""
+        monkeypatch.setattr(
+            abae, "_hash_threshold", lambda m, size: int(keep * m / size * 2.0**64) - 2**63
+        )
+        oracle = SimulatedOracle("label")
+        res = abae_query(ns_df, n_budget=2000, oracle=oracle, seed=5)
+        _assert_same_sample(res, _reference_abae(ns_df, 2000, 5, 5))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_uniform_matches_global_window(self, ns_df, seed):
+        w = Window.orderBy(F.xxhash64(F.col("id"), F.lit(seed)), F.col("id"))
+        ref = (
+            ns_df.withColumn("_rank", F.row_number().over(w))
+            .filter(F.col("_rank") <= 700)
+            .orderBy("_rank")
+            .toPandas()
+        )
+        oracle = SimulatedOracle("label")
+        res = uniform_query(ns_df, n_budget=700, oracle=oracle, seed=seed)
+        (v, l), = res.samples
+        np.testing.assert_array_equal(v, ref["value"].to_numpy(dtype=float))
+        np.testing.assert_array_equal(l, ref["label"].to_numpy())
+        assert res.estimate == plugin_estimates(ref["value"], ref["label"]).mu_hat
+        assert res.oracle_calls == oracle.calls == 700
+
+
 class TestUniformQuery:
     def test_budget_exact(self, ns_df):
         oracle = SimulatedOracle("label")
         res = uniform_query(ns_df, n_budget=900, oracle=oracle, seed=1)
         assert res.oracle_calls == 900
+
+    def test_oracle_limit_enforced(self, ns_df):
+        oracle = SimulatedOracle("label", budget=100)
+        with pytest.raises(BudgetExceededError):
+            uniform_query(ns_df, n_budget=900, oracle=oracle, seed=1)
+        assert oracle.calls == 0
 
     def test_estimate_near_truth(self, ns_df, night_street):
         truth = night_street.ground_truth()

@@ -170,6 +170,16 @@ class TestSparkMaterialization:
         got = set(df.columns)
         assert {"id", "proxy", "value", "label"} <= got
 
+    def test_to_spark_plan_holds_no_local_rows(self, spark, night_street, capsys):
+        """The table is checkpointed, not embedded in the plan as a
+        LocalTableScan, and its rows come back unchanged."""
+        df = night_street.to_spark(spark)
+        capsys.readouterr()
+        df.explain()
+        assert "LocalTableScan" not in capsys.readouterr().out
+        got = df.toPandas().sort_values("id").reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, night_street.pdf.reset_index(drop=True))
+
     def test_spark_ground_truth_matches_pandas(self, spark, night_street):
         from pyspark.sql import functions as F
 

@@ -105,6 +105,13 @@ class TestAbaeTrial:
         ]
         assert np.mean(ests) == pytest.approx(truth, abs=0.05)
 
+    def test_budget_below_strata_rejected(self, toy_strata):
+        """N < K would spend K pilot calls; it is rejected instead."""
+        oracle = SimulatedOracle()
+        with pytest.raises(ValueError):
+            abae_trial(toy_strata, 2, np.random.default_rng(0), oracle=oracle)
+        assert oracle.calls == 0
+
     def test_all_negative_strata_returns_zero(self):
         strata = [(np.ones(100), np.zeros(100, dtype=int)) for _ in range(3)]
         res = abae_trial(strata, 60, np.random.default_rng(0))
