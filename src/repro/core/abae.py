@@ -46,10 +46,9 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.window import Window
 
-from repro.core.allocation import optimal_allocation, stage2_counts
 from repro.core.bootstrap import bootstrap_ci
-from repro.core.estimator import StratumEstimate, combine, plugin_estimates
-from repro.core.sampler import check_pilot_budget, split_budget
+from repro.core.estimator import plugin_estimates
+from repro.core.sampler import abae_sample, split_budget
 from repro.core.stratify import add_stratum
 from repro.simulate.oracles import SimulatedOracle
 
@@ -111,15 +110,14 @@ def _label(oracle: SimulatedOracle, ranked: DataFrame, lo: np.ndarray, hi: np.nd
 
 def _per_stratum(
     labeled: pd.DataFrame, k: int, value_col: str
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[StratumEstimate]]:
-    """Each stratum's labeled (values, labels) in rank order, and their
-    plug-in estimates."""
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each stratum's labeled (values, labels) in rank order."""
     labeled = labeled.sort_values(["stratum", "_rank"])
     samples = []
     for i in range(k):
         sub = labeled[labeled["stratum"] == i]
         samples.append((sub[value_col].to_numpy(dtype=float), sub["oracle_label"].to_numpy()))
-    return samples, [plugin_estimates(v, l) for v, l in samples]
+    return samples
 
 
 def abae_query(
@@ -137,19 +135,19 @@ def abae_query(
     alpha: float = 0.05,
 ) -> ABAEQueryResult:
     """Answer ``SELECT AVG(value) WHERE O(x) ORACLE LIMIT n_budget``
-    with ABAE on a Spark DataFrame. See module docstring for dataflow.
+    with ABAE on a Spark DataFrame. See module docstring for dataflow;
+    the two stages are ``core.sampler.abae_sample`` over the ranks.
 
     Raises:
-        ValueError: if ``n_budget`` is smaller than ``k``.
+        ValueError: if ``n_budget`` is smaller than ``k``, or if ``df``
+            is empty.
         BudgetExceededError: before a stage whose rows exceed the
             oracle's remaining budget is labeled.
     """
-    check_pilot_budget(n_budget, k)
     n1_per, n2 = split_budget(n_budget, k, stage1_frac)
     q, r = divmod(df.count(), k)
     sizes = np.full(k, q, dtype=np.int64)
     sizes[:r] += 1  # ntile's first |D| mod K tiles hold one row more
-    n1 = np.minimum(n1_per, sizes)
 
     cols = list(dict.fromkeys([id_col, proxy_col, value_col, oracle.label_col]))
     stratified = add_stratum(df.select(*cols), k, proxy_col=proxy_col, id_col=id_col)
@@ -160,46 +158,47 @@ def abae_query(
     cands = cands.withColumn("_cands", F.count(F.lit(1)).over(Window.partitionBy("stratum")))
     cands = cands.persist()
     out = ["stratum", "_rank", value_col, "oracle_label"]
+    n_cands = None  # candidates per stratum, known after the first collect
+
+    def draw(lo: np.ndarray, hi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        nonlocal n_cands
+        if n_cands is None:
+            rows = _label(oracle, cands, lo, hi).select(*out, "_cands").collect()
+            labeled = pd.DataFrame.from_records(rows, columns=[*out, "_cands"])
+            n_cands = np.zeros(k, dtype=np.int64)
+            strata = labeled["stratum"].to_numpy(dtype=np.int64)
+            n_cands[strata] = labeled["_cands"].to_numpy(dtype=np.int64)
+            labeled = labeled[out]
+            have = np.clip(n_cands, lo, hi)
+        else:
+            ranked = cands if (n_cands >= hi).all() else _rank(stratified, id_col)
+            labeled = _label(oracle, ranked, lo, hi).select(*out).toPandas()
+            have = hi
+        if (have < hi).any():  # candidate shortfall: top up from the full ranking
+            topup = _label(oracle, _rank(stratified, id_col), have, hi).select(*out).toPandas()
+            labeled = pd.concat([labeled, topup], ignore_index=True)
+        return _per_stratum(labeled, k, value_col)
+
     try:
-        stage1 = _label(oracle, cands, np.zeros(k, dtype=np.int64), n1).select(*out, "_cands")
-        stage1 = pd.DataFrame.from_records(stage1.collect(), columns=[*out, "_cands"])
-        n_cands = np.zeros(k, dtype=np.int64)
-        strata1 = stage1["stratum"].to_numpy(dtype=np.int64)
-        n_cands[strata1] = stage1["_cands"].to_numpy(dtype=np.int64)
-        have = np.minimum(n_cands, n1)
-        stage1 = stage1[out]
-        if (have < n1).any():  # candidate shortfall: top up from the full ranking
-            topup = _label(oracle, _rank(stratified, id_col), have, n1).select(*out).toPandas()
-            stage1 = pd.concat([stage1, topup], ignore_index=True)
-        _, pilot = _per_stratum(stage1, k, value_col)
-        t_hat = optimal_allocation(
-            np.array([e.p_hat for e in pilot]), np.array([e.sigma_hat for e in pilot])
-        )
-        hi = np.minimum(n1 + stage2_counts(t_hat, n2), sizes)
-        ranked = cands if (n_cands >= hi).all() else _rank(stratified, id_col)
-        stage2 = _label(oracle, ranked, n1, hi).select(*out).toPandas()
+        res = abae_sample(sizes, n_budget, draw, stage1_frac=stage1_frac)
     finally:
         # Blocking, so the block removal does not run on into the next job.
         cands.unpersist(blocking=True)
 
-    samples, final = _per_stratum(pd.concat([stage1, stage2], ignore_index=True), k, value_col)
-    final_p = np.array([e.p_hat for e in final])
-    final_mu = np.array([e.mu_hat for e in final])
-
     ci = None
     if n_boot > 0:
         ci = bootstrap_ci(
-            samples, np.random.default_rng(seed + 7), n_boot=n_boot, alpha=alpha
+            res.samples, np.random.default_rng(seed + 7), n_boot=n_boot, alpha=alpha
         )
     return ABAEQueryResult(
-        estimate=combine(final_p, final_mu),
+        estimate=res.estimate,
         ci=ci,
         oracle_calls=oracle.calls,
-        p_hat=final_p,
-        mu_hat=final_mu,
-        sigma_hat=np.array([e.sigma_hat for e in final]),
-        allocation=t_hat,
-        samples=samples,
+        p_hat=np.array([e.p_hat for e in res.final]),
+        mu_hat=np.array([e.mu_hat for e in res.final]),
+        sigma_hat=np.array([e.sigma_hat for e in res.final]),
+        allocation=res.allocation,
+        samples=res.samples,
     )
 
 

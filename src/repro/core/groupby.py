@@ -11,7 +11,8 @@ induces its own stratification of the dataset. ABAE-GroupBy:
    minimizing the *maximum* per-group MSE — Eq. 10 (single oracle that
    returns the group key; estimates shared across stratifications and
    combined by inverse-variance weighting) or Eq. 11 (one oracle per
-   group; only l = g informs group g) — solved by Nelder–Mead;
+   group; only l = g informs group g) — Eq. 10 solved by Nelder–Mead,
+   Eq. 11 in closed form;
 4. runs Stage 2 and combines estimates (with sample reuse).
 
 Baseline: uniform sampling with the same total oracle budget.
@@ -26,8 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.allocation import mse_for_allocation, optimal_allocation
-from repro.core.estimator import combine
+from repro.core.allocation import mse_for_allocation
+from repro.core.estimator import StratumEstimate, combine, plugin_estimates
+from repro.core.sampler import (
+    check_pilot_budget,
+    pilot_allocation,
+    prefix_draw,
+    split_budget,
+    stage2_extents,
+)
 from repro.optimize.nelder_mead import minimize_on_simplex
 
 
@@ -77,42 +85,31 @@ class GroupTrialResult:
     allocation: np.ndarray
 
 
-def _bin_estimates(vals: np.ndarray, grps: np.ndarray, g: int):
-    """(p̂, μ̂, σ̂) of group g within one sampled bin."""
-    n = vals.size
-    pos = vals[grps == g]
-    p = pos.size / n if n else 0.0
-    mu = float(pos.mean()) if pos.size else 0.0
-    sig = float(pos.std(ddof=1)) if pos.size > 1 else 0.0
-    return p, mu, sig, pos.size
-
-
-def _err_coef(p: np.ndarray, sigma: np.ndarray, t: np.ndarray) -> float:
-    """Err(g): MSE × N for allocation t (the Eq. 10/11 inner sum).
+def _err_coef(pilot: list[StratumEstimate], t: np.ndarray) -> float:
+    """Err(g): MSE × N for allocation t (the Eq. 10/11 inner sum), from
+    the per-stratum pilot estimates of group g.
 
     Unsampleable configurations (t_k = 0 where the group lives) return
     a large-but-finite coefficient so Nelder–Mead stays numeric.
     """
-    c = mse_for_allocation(p, sigma, t, 1)
-    return min(c, 1e12)
+    p = np.array([e.p_hat for e in pilot])
+    sigma = np.array([e.sigma_hat for e in pilot])
+    return min(mse_for_allocation(p, sigma, t, 1), 1e12)
 
 
 def solve_minimax_multi(coefs: np.ndarray, n2: int) -> np.ndarray:
-    """Eq. 11: min over Λ of max_g coef_g/(Λ_g·N₂), via Nelder–Mead.
+    """Eq. 11: min over Λ of max_g coef_g/(Λ_g·N₂).
 
-    (The closed form Λ_g ∝ coef_g is used by tests as the oracle.)
+    Each group's error falls only with its own Λ_g, so the minimax is
+    where all errors are equal: Λ_g = coef_g / Σ coef (closed form).
     """
     coefs = np.maximum(np.asarray(coefs, dtype=float), 1e-12)
-
-    def objective(lam: np.ndarray) -> float:
-        lam = np.maximum(lam, 1e-12)
-        return float(np.max(coefs / (lam * n2)))
-
-    return minimize_on_simplex(objective, coefs.size)
+    return coefs / coefs.sum()
 
 
 def solve_minimax_single(coef_lg: np.ndarray, n2: int) -> np.ndarray:
-    """Eq. 10: min over Λ of max_g (Σ_l (coef_{l,g}/(Λ_l·N₂))⁻¹)⁻¹.
+    """Eq. 10: min over Λ of max_g (Σ_l (coef_{l,g}/(Λ_l·N₂))⁻¹)⁻¹, via
+    Nelder–Mead.
 
     ``coef_lg[l, g]`` is the Err coefficient of group g's estimate when
     sampling via stratification l.
@@ -128,6 +125,26 @@ def solve_minimax_single(coef_lg: np.ndarray, n2: int) -> np.ndarray:
     return minimize_on_simplex(objective, n_l)
 
 
+def _pilot(data: GroupByData, n_budget: int, rng: np.random.Generator, stage1_frac: float):
+    """Stage 1 of both group-by trials: one :func:`prefix_draw` per
+    stratification and its first ⌊C·N/(G·K)⌋ ranks in every stratum.
+
+    Returns (draws, sizes, n1, pilot samples), each indexed by
+    stratification l.
+
+    Raises:
+        ValueError: if N < G·K, below one pilot draw per bin.
+    """
+    g_n, k = data.n_groups, data.k
+    check_pilot_budget(n_budget, g_n * k)
+    n1_per, _ = split_budget(n_budget, g_n * k, stage1_frac)
+    draws = [prefix_draw(data.strata[l], rng) for l in range(g_n)]
+    sizes = [np.array([b[0].size for b in data.strata[l]]) for l in range(g_n)]
+    n1 = [np.minimum(n1_per, s) for s in sizes]
+    drawn = [draws[l](np.zeros(k, dtype=np.int64), n1[l]) for l in range(g_n)]
+    return draws, sizes, n1, drawn
+
+
 def groupby_multi_trial(
     data: GroupByData,
     n_budget: int,
@@ -141,43 +158,28 @@ def groupby_multi_trial(
     Budget accounting: every draw from stratification g costs one call
     to group-g's oracle. Stage 1 spends (stage1_frac·N)/G per group,
     split evenly over its strata; Stage 2 splits the rest by Λ.
+
+    Raises:
+        ValueError: if N < G·K (see :func:`_pilot`).
     """
-    g_n, k = data.n_groups, data.k
-    per_group_s1 = int(n_budget * stage1_frac) // g_n
-    n1_per = max(1, per_group_s1 // k)
+    g_n = data.n_groups
+    draws, sizes, n1, drawn = _pilot(data, n_budget, rng, stage1_frac)
+    pilots = [[plugin_estimates(v, grps == l) for v, grps, _ in drawn[l]] for l in range(g_n)]
+    t_hats = [pilot_allocation(p) for p in pilots]
+    coefs = np.array([_err_coef(pilots[l], t_hats[l]) for l in range(g_n)])
 
-    perms = [[rng.permutation(b[0].size) for b in data.strata[l]] for l in range(g_n)]
-    coefs = np.zeros(g_n)
-    t_hats = []
-    p1 = np.zeros((g_n, k))
-    s1 = np.zeros((g_n, k))
-    calls = 0
-    for l in range(g_n):
-        for ki, (vals, grps, _) in enumerate(data.strata[l]):
-            take = perms[l][ki][: min(n1_per, vals.size)]
-            calls += take.size
-            p1[l, ki], _, s1[l, ki], _ = _bin_estimates(vals[take], grps[take], l)
-        t_hats.append(optimal_allocation(p1[l], s1[l]))
-        coefs[l] = _err_coef(p1[l], s1[l], t_hats[l])
-
+    calls = int(sum(n.sum() for n in n1))
     n2 = n_budget - calls
     lam = solve_minimax_multi(coefs, max(n2, 1))
 
     estimates = np.zeros(g_n)
     for l in range(g_n):
-        budget_l = int(lam[l] * n2)
-        extra = np.floor(t_hats[l] * budget_l).astype(int)
-        p_fin = np.zeros(k)
-        mu_fin = np.zeros(k)
-        for ki, (vals, grps, _) in enumerate(data.strata[l]):
-            n1_i = min(n1_per, vals.size)
-            n2_i = min(int(extra[ki]), vals.size - n1_i)
-            idx = perms[l][ki][: n1_i + n2_i]
-            calls += n2_i
-            p_fin[ki], mu_fin[ki], _, _ = _bin_estimates(vals[idx], grps[idx], l)
-        estimates[l] = combine(p_fin, mu_fin)
+        hi = stage2_extents(n1[l], t_hats[l], int(lam[l] * n2), sizes[l])
+        calls += int((hi - n1[l]).sum())
+        final = [plugin_estimates(v, grps == l) for v, grps, _ in draws[l](np.zeros_like(hi), hi)]
+        estimates[l] = combine([e.p_hat for e in final], [e.mu_hat for e in final])
     if oracle is not None:
-        oracle._charge(calls)
+        oracle.charge(calls)
     return GroupTrialResult(estimates=estimates, oracle_calls=calls, allocation=lam)
 
 
@@ -195,46 +197,33 @@ def groupby_single_trial(
     record informs *every* group; estimates from all stratifications
     are merged by inverse-variance weighting. Records drawn through
     more than one stratification are oracle-labeled once (cached).
+
+    Raises:
+        ValueError: if N < G·K (see :func:`_pilot`).
     """
-    g_n, k = data.n_groups, data.k
-    n1_per = max(1, int(n_budget * stage1_frac) // (g_n * k))
+    g_n = data.n_groups
+    draws, sizes, n1, drawn = _pilot(data, n_budget, rng, stage1_frac)
+    seen = {i for bins in drawn for _, _, ids in bins for i in ids.tolist()}
 
-    perms = [[rng.permutation(b[0].size) for b in data.strata[l]] for l in range(g_n)]
-    seen: set[int] = set()
-
-    # ---- Stage 1: n1_per per (stratification, stratum) bin ----
-    p1 = np.zeros((g_n, g_n, k))  # (l, g, k)
-    s1 = np.zeros((g_n, g_n, k))
-    for l in range(g_n):
-        for ki, (vals, grps, ids) in enumerate(data.strata[l]):
-            take = perms[l][ki][: min(n1_per, vals.size)]
-            seen.update(ids[take].tolist())
-            for g in range(g_n):
-                p1[l, g, ki], _, s1[l, g, ki], _ = _bin_estimates(
-                    vals[take], grps[take], g
-                )
-
-    t_hats = [optimal_allocation(p1[l, l], s1[l, l]) for l in range(g_n)]
-    coef_lg = np.zeros((g_n, g_n))
-    for l in range(g_n):
-        for g in range(g_n):
-            coef_lg[l, g] = _err_coef(p1[l, g], s1[l, g], t_hats[l])
+    # pilots[l][g]: group g's per-stratum estimates in stratification l.
+    pilots = [
+        [[plugin_estimates(v, grps == g) for v, grps, _ in drawn[l]] for g in range(g_n)]
+        for l in range(g_n)
+    ]
+    t_hats = [pilot_allocation(pilots[l][l]) for l in range(g_n)]
+    coef_lg = np.array(
+        [[_err_coef(pilots[l][g], t_hats[l]) for g in range(g_n)] for l in range(g_n)]
+    )
 
     n2 = n_budget - len(seen)
     lam = solve_minimax_single(coef_lg, max(n2, 1))
 
     # ---- Stage 2 draws (with Stage-1 reuse per bin) ----
-    samp: list[list[tuple[np.ndarray, np.ndarray]]] = [
-        [((np.empty(0), np.empty(0)))] * k for _ in range(g_n)
-    ]
+    samp = []  # samp[l]: per-stratum (values, groups, ids) drawn via l
     for l in range(g_n):
-        extra = np.floor(t_hats[l] * int(lam[l] * n2)).astype(int)
-        for ki, (vals, grps, ids) in enumerate(data.strata[l]):
-            n1_i = min(n1_per, vals.size)
-            n2_i = min(int(extra[ki]), vals.size - n1_i)
-            idx = perms[l][ki][: n1_i + n2_i]
-            seen.update(ids[idx].tolist())
-            samp[l][ki] = (vals[idx], grps[idx])
+        hi = stage2_extents(n1[l], t_hats[l], int(lam[l] * n2), sizes[l])
+        samp.append(draws[l](np.zeros_like(hi), hi))
+        seen.update(i for _, _, ids in samp[l] for i in ids.tolist())
 
     # ---- Inverse-variance combination across stratifications ----
     # Eq. 10 weighs each stratification's estimate by its (plug-in)
@@ -244,20 +233,18 @@ def groupby_single_trial(
     # draw — stable, since a single oracle call labels every group —
     # and the realized positive-draw counts, which also credits the
     # Stage-1 reuse that Eq. 10's asymptotic form drops.
-    all_v = np.concatenate([v for l in range(g_n) for (v, _) in samp[l]])
-    all_g = np.concatenate([gr for l in range(g_n) for (_, gr) in samp[l]])
+    all_v = np.concatenate([v for l in range(g_n) for (v, _, _) in samp[l]])
+    all_g = np.concatenate([gr for l in range(g_n) for (_, gr, _) in samp[l]])
     estimates = np.zeros(g_n)
     for g in range(g_n):
         pos = all_v[all_g == g]
         sig_g = float(pos.std(ddof=1)) if pos.size > 1 else 0.0
         num = den = 0.0
         for l in range(g_n):
-            p_f = np.zeros(k)
-            mu_f = np.zeros(k)
-            b_pos = np.zeros(k)
-            for ki in range(k):
-                v, gr = samp[l][ki]
-                p_f[ki], mu_f[ki], _, b_pos[ki] = _bin_estimates(v, gr, g)
+            final = [plugin_estimates(v, gr == g) for v, gr, _ in samp[l]]
+            p_f = np.array([e.p_hat for e in final])
+            mu_f = np.array([e.mu_hat for e in final])
+            b_pos = np.array([e.n_pos for e in final])
             p_all = p_f.sum()
             if p_all <= 0 or b_pos.sum() < 3 or sig_g <= 0:
                 continue
@@ -270,7 +257,7 @@ def groupby_single_trial(
         elif sig_g == 0.0 and pos.size > 0:
             estimates[g] = float(pos.mean())
     if oracle is not None:
-        oracle._charge(len(seen))
+        oracle.charge(len(seen))
     return GroupTrialResult(
         estimates=estimates, oracle_calls=len(seen), allocation=lam
     )

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.allocation import optimal_mse
 from repro.core.estimator import plugin_estimates
+from repro.core.sampler import abae_stage2
 from repro.core.stratify import stratify_indices
 from repro.optimize.logistic import LogisticModel, fit_logistic
 
@@ -129,41 +130,37 @@ def combined_proxy_trial(
 
     Returns:
         The trial's estimate μ̂_all.
-    """
-    from repro.core.allocation import optimal_allocation, stage2_counts
-    from repro.core.estimator import combine as _combine
-    from repro.core.estimator import plugin_estimates
-    from repro.core.stratify import stratify_indices
 
+    Raises:
+        ValueError: if the pilot (at least 50 records) exceeds N.
+    """
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels)
     n = values.size
     m = min(max(50, int(n_budget * pilot_frac)), n)
+    if m > n_budget:
+        raise ValueError(f"the pilot of {m} records exceeds the budget N={n_budget}")
     pilot = rng.choice(n, size=m, replace=False)
     cp = combine_proxies({c: np.asarray(s)[pilot] for c, s in scores.items()}, labels[pilot])
-    merged = cp.score(scores)
-    stratum = stratify_indices(merged, k)
+    stratum = stratify_indices(cp.score(scores), k)
 
     in_pilot = np.zeros(n, dtype=bool)
     in_pilot[pilot] = True
-    p1 = np.zeros(k)
-    s1 = np.zeros(k)
-    pilot_by_k = []
+    stage1 = []
     for i in range(k):
         sel = pilot[stratum[pilot] == i]
-        pilot_by_k.append(sel)
-        est = plugin_estimates(values[sel], labels[sel])
-        p1[i], s1[i] = est.p_hat, est.sigma_hat
-    t_hat = optimal_allocation(p1, s1)
-    extra = stage2_counts(t_hat, n_budget - m)
+        stage1.append((values[sel], labels[sel]))
 
-    final_p = np.zeros(k)
-    final_mu = np.zeros(k)
-    for i in range(k):
-        rest = np.where((stratum == i) & ~in_pilot)[0]
-        n2_i = min(int(extra[i]), rest.size)
-        take = rng.choice(rest, size=n2_i, replace=False) if n2_i else rest[:0]
-        idx = np.concatenate([pilot_by_k[i], take])
-        est = plugin_estimates(values[idx], labels[idx])
-        final_p[i], final_mu[i] = est.p_hat, est.mu_hat
-    return _combine(final_p, final_mu)
+    def draw(lo: np.ndarray, hi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Stage 2: uniform draws from the stratum's records outside the
+        pilot (ranks past the pilot's in a uniformly random order)."""
+        out = []
+        for i in range(k):
+            rest = np.where((stratum == i) & ~in_pilot)[0]
+            n2_i = hi[i] - lo[i]
+            take = rng.choice(rest, size=n2_i, replace=False) if n2_i else rest[:0]
+            out.append((values[take], labels[take]))
+        return out
+
+    sizes = np.bincount(stratum, minlength=k)
+    return abae_stage2(stage1, sizes, n_budget - m, draw).estimate

@@ -1,26 +1,31 @@
-"""Two-stage ABAE sampling kernel and baselines (Algorithm 1).
+"""Two-stage ABAE sampling (Algorithm 1) and baselines.
 
-This is the Monte-Carlo core shared by the experiment harness and the
-Spark query path. A trial operates on per-stratum ``(values, labels)``
-numpy arrays (see ``core.stratify.strata_arrays``):
+This module holds the only implementation of Algorithm 1. It is written
+once, in :func:`abae_sample`, against a *sampling order*: each stratum's
+records have ranks 1..|D_k|, and a ``draw(lo, hi)`` callback labels
+ranks (lo_k, hi_k] of every stratum k.
 
-* Stage 1 draws N₁/K records per stratum uniformly without replacement
-  and forms plug-in estimates p̂_k, σ̂_k.
-* Stage 2 draws ⌊N₂·T̂_k⌋ further records with T̂_k ∝ √p̂_k σ̂_k
+* Stage 1 draws ranks (0, N₁/K] per stratum and forms plug-in
+  estimates p̂_k, σ̂_k.
+* Stage 2 draws ranks (N₁/K, N₁/K + ⌊N₂·T̂_k⌋] with T̂_k ∝ √p̂_k σ̂_k
   (Proposition 1), without replacement across both stages.
 * With sample reuse (the default, and critical per the Fig. 9 lesion),
   the final estimates use the union of both stages' draws.
 
-Without-replacement across stages is implemented with one random
-permutation per stratum per trial: Stage 1 takes the first ranks,
-Stage 2 the next ranks — the same ordering trick the Spark path uses
-with a seeded ``xxhash64`` rank.
+The paths differ only in their draw: ``abae_trial`` slices one random
+permutation per stratum (:func:`prefix_draw`), the Spark query
+(``core.abae``) filters a seeded ``xxhash64`` rank, and the
+combined-proxy trial (``core.proxy_select``) brings its own pilot to
+:func:`abae_stage2`. The group-by trials (``core.groupby``) couple
+several stratifications and use the same helpers around their own
+budget split.
 
 Baselines: ``uniform_trial`` (the paper's main comparison) and
 ``abae_trial(..., reuse=False)`` (the Fig. 9 lesion).
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +44,7 @@ class TrialResult:
         samples: per-stratum (values, labels) of *all* draws made, in
             draw order — the input to the bootstrap (Algorithm 2).
         stage1: per-stratum Stage-1 plug-in estimates.
+        final: per-stratum plug-in estimates behind ``estimate``.
         allocation: T̂ used for Stage 2 (empty for uniform sampling).
     """
 
@@ -46,7 +52,14 @@ class TrialResult:
     oracle_calls: int
     samples: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     stage1: list[StratumEstimate] = field(default_factory=list)
+    final: list[StratumEstimate] = field(default_factory=list)
     allocation: np.ndarray = field(default_factory=lambda: np.array([]))
+
+
+#: ``draw(lo, hi)`` labels ranks (lo_k, hi_k] of each stratum k's
+#: sampling order and returns them per stratum, in rank order, as a
+#: tuple of arrays: ``(values, labels)`` on the scalar ABAE paths.
+Draw = Callable[[np.ndarray, np.ndarray], list[tuple[np.ndarray, ...]]]
 
 
 def split_budget(n_budget: int, k: int, stage1_frac: float) -> tuple[int, int]:
@@ -65,11 +78,102 @@ def split_budget(n_budget: int, k: int, stage1_frac: float) -> tuple[int, int]:
 def check_pilot_budget(n_budget: int, k: int) -> None:
     """Reject ``ORACLE LIMIT`` N < K for ABAE: Stage 1 draws at least one
     pilot record from every stratum, so it alone would spend K > N
-    calls."""
+    calls. Group-by passes its G·K (stratification, stratum) bins."""
     if n_budget < k:
         raise ValueError(
-            f"ABAE needs a budget of at least one draw per stratum: N={n_budget} < K={k}"
+            f"ABAE needs a budget of at least one draw per stratum: N={n_budget} < {k} strata"
         )
+
+
+def prefix_draw(
+    strata: list[tuple[np.ndarray, ...]], rng: np.random.Generator
+) -> Draw:
+    """A :data:`Draw` over in-memory strata: each stratum's sampling
+    order is one uniform random permutation, so ranks (lo_k, hi_k] are
+    a slice of it and the stages draw without replacement.
+
+    ``strata[k]`` is a tuple of equally long arrays (e.g. values and
+    labels); the draw returns the same tuple restricted to the ranks.
+    """
+    perms = [rng.permutation(arrays[0].size) for arrays in strata]
+
+    def draw(lo: np.ndarray, hi: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+        return [
+            tuple(a[p[a_lo:a_hi]] for a in arrays)
+            for arrays, p, a_lo, a_hi in zip(strata, perms, lo, hi)
+        ]
+
+    return draw
+
+
+def pilot_allocation(pilot: list[StratumEstimate]) -> np.ndarray:
+    """T̂_k ∝ √p̂_k·σ̂_k from the per-stratum pilot estimates
+    (Proposition 1 with plug-in values)."""
+    return optimal_allocation(
+        np.array([e.p_hat for e in pilot]), np.array([e.sigma_hat for e in pilot])
+    )
+
+
+def stage2_extents(
+    n1: np.ndarray, t_hat: np.ndarray, n2: int, sizes: np.ndarray
+) -> np.ndarray:
+    """Where Stage 2 ends in each stratum's order: after ⌊N₂·T̂_k⌋ more
+    ranks than the n1_k of Stage 1, or at the end of the stratum."""
+    return np.minimum(n1 + stage2_counts(t_hat, n2), sizes)
+
+
+def abae_sample(
+    sizes,
+    n_budget: int,
+    draw: Draw,
+    *,
+    stage1_frac: float = 0.5,
+    reuse: bool = True,
+) -> TrialResult:
+    """Algorithm 1 (``ABAESample``) over the strata of sizes |D_k| in
+    the order of ``draw``: Stage 1 draws ranks (0, N₁/K] of every
+    stratum, the rest follows in :func:`abae_stage2`. The other
+    arguments are those of :func:`abae_trial`, which also lists the
+    errors raised.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    check_pilot_budget(n_budget, sizes.size)
+    if not sizes.any():
+        raise ValueError("ABAE over an empty table: every stratum is empty")
+    n1_per, n2 = split_budget(n_budget, sizes.size, stage1_frac)
+    n1 = np.minimum(n1_per, sizes)
+    return abae_stage2(draw(np.zeros_like(n1), n1), sizes, n2, draw, reuse=reuse)
+
+
+def abae_stage2(
+    stage1: list[tuple[np.ndarray, np.ndarray]],
+    sizes: np.ndarray,
+    n2: int,
+    draw: Draw,
+    *,
+    reuse: bool = True,
+) -> TrialResult:
+    """Algorithm 1 from the pilot on: T̂ from the Stage-1 samples, Stage
+    2 on ranks (n1_k, n1_k + ⌊N₂·T̂_k⌋] of each stratum, where n1_k is
+    the size of its Stage-1 sample, and Σ p̂_k μ̂_k / Σ p̂_k over both
+    stages (``reuse``) or over Stage 2 alone."""
+    n1 = np.array([v.size for v, _ in stage1], dtype=np.int64)
+    pilot = [plugin_estimates(v, l) for v, l in stage1]
+    t_hat = pilot_allocation(pilot)
+    stage2 = draw(n1, stage2_extents(n1, t_hat, n2, sizes))
+    samples = [
+        (np.concatenate([v1, v2]), np.concatenate([l1, l2]))
+        for (v1, l1), (v2, l2) in zip(stage1, stage2)
+    ]
+    final = [plugin_estimates(v, l) for v, l in (samples if reuse else stage2)]
+    return TrialResult(
+        estimate=combine([e.p_hat for e in final], [e.mu_hat for e in final]),
+        oracle_calls=sum(v.size for v, _ in samples),
+        samples=samples,
+        stage1=pilot,
+        final=final,
+        allocation=t_hat,
+    )
 
 
 def abae_trial(
@@ -81,7 +185,8 @@ def abae_trial(
     reuse: bool = True,
     oracle=None,
 ) -> TrialResult:
-    """Run one ABAE trial (Algorithm 1, ``ABAESample``).
+    """Run one ABAE trial (Algorithm 1, ``ABAESample``) on in-memory
+    strata, in the order of :func:`prefix_draw`.
 
     Args:
         strata: per-stratum (values, labels) arrays.
@@ -93,50 +198,16 @@ def abae_trial(
         oracle: optional ``SimulatedOracle`` to charge invocations to.
 
     Raises:
-        ValueError: if ``n_budget`` is smaller than the number of strata.
+        ValueError: if ``n_budget`` is smaller than the number of
+            strata, or if every stratum is empty.
     """
-    k = len(strata)
-    check_pilot_budget(n_budget, k)
-    n1_per, n2 = split_budget(n_budget, k, stage1_frac)
+    take = prefix_draw(strata, rng)
 
-    perms = []
-    stage1_ests: list[StratumEstimate] = []
-    for vals, labs in strata:
-        perm = rng.permutation(vals.size)
-        perms.append(perm)
-        take = perm[: min(n1_per, vals.size)]
-        stage1_ests.append(plugin_estimates(vals[take], labs[take]))
+    def draw(lo: np.ndarray, hi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [(v, l if oracle is None else oracle.call(l)) for v, l in take(lo, hi)]
 
-    p1 = np.array([e.p_hat for e in stage1_ests])
-    s1 = np.array([e.sigma_hat for e in stage1_ests])
-    t_hat = optimal_allocation(p1, s1)
-    extra = stage2_counts(t_hat, n2)
-
-    samples: list[tuple[np.ndarray, np.ndarray]] = []
-    final_p = np.zeros(k)
-    final_mu = np.zeros(k)
-    calls = 0
-    for i, (vals, labs) in enumerate(strata):
-        n1_i = min(n1_per, vals.size)
-        n2_i = min(int(extra[i]), vals.size - n1_i)
-        idx_all = perms[i][: n1_i + n2_i]
-        calls += idx_all.size
-        v_all, l_all = vals[idx_all], labs[idx_all]
-        if oracle is not None:
-            l_all = oracle.call(l_all)
-        samples.append((v_all, l_all))
-        if reuse:
-            est = plugin_estimates(v_all, l_all)
-        else:
-            est = plugin_estimates(v_all[n1_i:], l_all[n1_i:])
-        final_p[i], final_mu[i] = est.p_hat, est.mu_hat
-
-    return TrialResult(
-        estimate=combine(final_p, final_mu),
-        oracle_calls=calls,
-        samples=samples,
-        stage1=stage1_ests,
-        allocation=t_hat,
+    return abae_sample(
+        [v.size for v, _ in strata], n_budget, draw, stage1_frac=stage1_frac, reuse=reuse
     )
 
 

@@ -5,14 +5,10 @@ quantile. Under the paper's monotonicity assumption this groups records
 with similar predicate-positive probability, which is what makes the
 √p̂_k·σ̂_k allocation effective.
 
-Two Spark paths are provided:
-
-* ``add_stratum`` — exact ``ntile(K)`` over (proxy, id). Exact
-  quantiles require a global ordering (single-partition window); fine
-  at the paper's scales (≤1.2M narrow rows) and required for the
-  DuckDB-parity tests.
-* ``add_stratum_approx`` — ``approxQuantile`` boundaries + a range
-  ``CASE`` expression; fully parallel, for larger-than-memory data.
+The Spark path, ``add_stratum``, is an exact ``ntile(K)`` over (proxy,
+id). Exact quantiles require a global ordering (single-partition
+window); fine at the paper's scales (≤1.2M narrow rows) and required
+for the DuckDB-parity tests.
 
 The numpy path (``stratify_indices``) implements identical ntile
 semantics so the Monte-Carlo kernel and the Spark query path agree.
@@ -86,27 +82,3 @@ def add_stratum(
     (proxy, id), emitted 0-based to match ``stratify_indices``."""
     w = Window.orderBy(F.col(proxy_col), F.col(id_col))
     return df.withColumn(out_col, F.ntile(k).over(w) - 1)
-
-
-def add_stratum_approx(
-    df: DataFrame,
-    k: int,
-    *,
-    proxy_col: str = "proxy",
-    out_col: str = "stratum",
-    relative_error: float = 0.001,
-) -> DataFrame:
-    """Scalable stratification via ``approxQuantile`` boundaries.
-
-    Boundary records may land one stratum off versus the exact path
-    (bounded by ``relative_error``); the estimator stays valid because
-    any fixed partition of the data is a legal stratification — proxy
-    quality only affects efficiency, never correctness (§2.3).
-    """
-    probs = [i / k for i in range(1, k)]
-    cuts = df.approxQuantile(proxy_col, probs, relative_error)
-    expr = F.lit(k - 1)
-    # Walk boundaries from the top so the first satisfied condition wins.
-    for i in range(k - 2, -1, -1):
-        expr = F.when(F.col(proxy_col) <= F.lit(cuts[i]), F.lit(i)).otherwise(expr)
-    return df.withColumn(out_col, expr.cast("long"))

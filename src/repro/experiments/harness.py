@@ -9,12 +9,13 @@ ci) rows come back. This is the distributed_dataflow shape of the
 reproduction — dataset-scan work (stratification) happens in Catalyst,
 trial replication happens across the cluster.
 
-``run_trials`` / ``run_group_trials`` fall back to a local loop when
-``spark`` is None (unit tests that don't need the cluster).
+Every trial runner goes through ``_distribute``, which falls back to a
+local loop when ``spark`` is None (unit tests that don't need the
+cluster, and the reference the Spark runs are compared against).
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from typing import Any
 
 import numpy as np
@@ -43,6 +44,46 @@ def _scalar_trial(kind: str, data: Any, n_budget: int, rng, stage1_frac: float):
         values, labels = data
         return uniform_trial(values, labels, n_budget, rng)
     raise ValueError(f"unknown scalar trial kind: {kind}")
+
+
+def _distribute(
+    spark: SparkSession | None,
+    fn: Callable[[Any, int], list[tuple]],
+    data: Any,
+    n_trials: int,
+    base_seed: int,
+    schema: str,
+) -> pd.DataFrame:
+    """Run ``fn(data, seed)`` for seeds ``base_seed .. base_seed +
+    n_trials − 1`` and return its rows, each prefixed by the trial index
+    ``seed − base_seed``, as a frame sorted by trial.
+
+    ``schema`` is the Spark DDL of the output rows, the leading
+    ``trial long`` included. With ``spark`` the seeds are spread over
+    the cluster by ``mapInPandas`` and ``data`` is broadcast once;
+    without it they run in a local loop.
+    """
+    cols = [c.split()[0] for c in schema.split(",")]
+    if spark is None:
+        rows = [(i, *r) for i in range(n_trials) for r in fn(data, base_seed + i)]
+        return pd.DataFrame(rows, columns=cols)
+
+    bc = spark.sparkContext.broadcast(data)
+
+    def worker(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        payload = bc.value
+        for batch in batches:
+            rows = [
+                (int(seed) - base_seed, *r) for seed in batch["id"] for r in fn(payload, int(seed))
+            ]
+            yield pd.DataFrame(rows, columns=cols)
+
+    n_part = min(n_trials, max(2, spark.sparkContext.defaultParallelism))
+    seeds = spark.range(base_seed, base_seed + n_trials).repartition(n_part)
+    out = seeds.mapInPandas(worker, schema=schema).toPandas()
+    bc.unpersist()
+    # Stable, so the rows of one trial keep the order ``fn`` gave them.
+    return out.sort_values("trial", kind="stable").reset_index(drop=True)
 
 
 def run_trials(
@@ -76,43 +117,18 @@ def run_trials(
     if kind not in SCALAR_KINDS:
         raise ValueError(f"kind must be one of {SCALAR_KINDS}, got {kind!r}")
 
-    def one(seed: int) -> tuple[int, float, float, float, int]:
+    def one(payload: Any, seed: int) -> list[tuple[float, float, float, int]]:
         rng = np.random.default_rng(seed)
-        res = _scalar_trial(kind, data, n_budget, rng, stage1_frac)
+        res = _scalar_trial(kind, payload, n_budget, rng, stage1_frac)
         lo = hi = float("nan")
         if with_ci:
             lo, hi = bootstrap_ci(res.samples, rng, n_boot=n_boot, alpha=alpha)
-        return seed - base_seed, res.estimate, lo, hi, res.oracle_calls
+        return [(res.estimate, lo, hi, res.oracle_calls)]
 
-    cols = ["trial", "estimate", "lo", "hi", "calls"]
-    if spark is None:
-        rows = [one(base_seed + i) for i in range(n_trials)]
-        return pd.DataFrame(rows, columns=cols)
-
-    bc = spark.sparkContext.broadcast(data)
-
-    def worker(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        payload = bc.value
-        for batch in batches:
-            rows = []
-            for seed in batch["id"]:
-                rng = np.random.default_rng(int(seed))
-                res = _scalar_trial(kind, payload, n_budget, rng, stage1_frac)
-                lo = hi = float("nan")
-                if with_ci:
-                    lo, hi = bootstrap_ci(res.samples, rng, n_boot=n_boot, alpha=alpha)
-                rows.append(
-                    (int(seed) - base_seed, res.estimate, lo, hi, res.oracle_calls)
-                )
-            yield pd.DataFrame(rows, columns=cols)
-
-    n_part = min(n_trials, max(2, spark.sparkContext.defaultParallelism))
-    seeds = spark.range(base_seed, base_seed + n_trials).repartition(n_part)
-    out = seeds.mapInPandas(
-        worker, schema="trial long, estimate double, lo double, hi double, calls long"
-    ).toPandas()
-    bc.unpersist()
-    return out.sort_values("trial").reset_index(drop=True)
+    return _distribute(
+        spark, one, data, n_trials, base_seed,
+        "trial long, estimate double, lo double, hi double, calls long",
+    )
 
 
 def run_group_trials(
@@ -139,64 +155,24 @@ def run_group_trials(
     if kind not in GROUP_KINDS:
         raise ValueError(f"kind must be one of {GROUP_KINDS}, got {kind!r}")
 
-    def one(seed: int) -> list[tuple[int, int, float, int]]:
+    def one(payload: Any, seed: int) -> list[tuple[int, float, int]]:
         rng = np.random.default_rng(seed)
         if kind == "groupby_single":
-            res = groupby_single_trial(data, n_budget, rng, stage1_frac=stage1_frac)
+            res = groupby_single_trial(payload, n_budget, rng, stage1_frac=stage1_frac)
         elif kind == "groupby_multi":
-            res = groupby_multi_trial(data, n_budget, rng, stage1_frac=stage1_frac)
+            res = groupby_multi_trial(payload, n_budget, rng, stage1_frac=stage1_frac)
         else:
-            values, groups = data
+            values, groups = payload
             res = groupby_uniform_trial(
                 values, groups, n_budget, rng, n_groups,
                 per_group_oracle=(kind == "uniform_multi"),
             )
-        t = seed - base_seed
-        return [
-            (t, g, float(res.estimates[g]), res.oracle_calls) for g in range(n_groups)
-        ]
+        return [(g, float(res.estimates[g]), res.oracle_calls) for g in range(n_groups)]
 
-    cols = ["trial", "group", "estimate", "calls"]
-    if spark is None:
-        rows = [r for i in range(n_trials) for r in one(base_seed + i)]
-        return pd.DataFrame(rows, columns=cols)
-
-    bc = spark.sparkContext.broadcast(data)
-
-    def worker(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        payload = bc.value
-        for batch in batches:
-            rows = []
-            for seed in batch["id"]:
-                rng = np.random.default_rng(int(seed))
-                if kind == "groupby_single":
-                    res = groupby_single_trial(
-                        payload, n_budget, rng, stage1_frac=stage1_frac
-                    )
-                elif kind == "groupby_multi":
-                    res = groupby_multi_trial(
-                        payload, n_budget, rng, stage1_frac=stage1_frac
-                    )
-                else:
-                    values, groups = payload
-                    res = groupby_uniform_trial(
-                        values, groups, n_budget, rng, n_groups,
-                        per_group_oracle=(kind == "uniform_multi"),
-                    )
-                t = int(seed) - base_seed
-                rows.extend(
-                    (t, g, float(res.estimates[g]), res.oracle_calls)
-                    for g in range(n_groups)
-                )
-            yield pd.DataFrame(rows, columns=cols)
-
-    n_part = min(n_trials, max(2, spark.sparkContext.defaultParallelism))
-    seeds = spark.range(base_seed, base_seed + n_trials).repartition(n_part)
-    out = seeds.mapInPandas(
-        worker, schema="trial long, group long, estimate double, calls long"
-    ).toPandas()
-    bc.unpersist()
-    return out.sort_values(["trial", "group"]).reset_index(drop=True)
+    return _distribute(
+        spark, one, data, n_trials, base_seed,
+        "trial long, group long, estimate double, calls long",
+    )
 
 
 def estimates_matrix(df: pd.DataFrame, n_groups: int) -> np.ndarray:

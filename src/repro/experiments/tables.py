@@ -19,7 +19,12 @@ from repro.core.groupby import build_groupby_data
 from repro.core.sampler import abae_trial
 from repro.core.stratify import strata_arrays
 from repro.experiments import metrics as M
-from repro.experiments.harness import estimates_matrix, run_group_trials, run_trials
+from repro.experiments.harness import (
+    _distribute,
+    estimates_matrix,
+    run_group_trials,
+    run_trials,
+)
 from repro.simulate import datasets as D
 
 DEFAULT_BUDGETS = (2000, 4000, 6000, 8000, 10000)
@@ -478,38 +483,11 @@ def _combined_proxy_trials(spark, ds, budget, n_trials, k, c, base_seed):
         pdf["label"].to_numpy(),
     )
 
-    if spark is None:
-        rows = []
-        for i in range(n_trials):
-            rng = np.random.default_rng(base_seed + i)
-            rows.append(
-                (i, combined_proxy_trial(*payload, budget, rng, k=k, pilot_frac=c))
-            )
-        return pd.DataFrame(rows, columns=["trial", "estimate"])
+    def one(payload, seed: int) -> list[tuple[float]]:
+        rng = np.random.default_rng(seed)
+        return [(combined_proxy_trial(*payload, budget, rng, k=k, pilot_frac=c),)]
 
-    bc = spark.sparkContext.broadcast(payload)
-
-    def worker(batches):
-        scores, values, labels = bc.value
-        for batch in batches:
-            rows = []
-            for seed in batch["id"]:
-                rng = np.random.default_rng(int(seed))
-                est = combined_proxy_trial(
-                    scores, values, labels, budget, rng, k=k, pilot_frac=c
-                )
-                rows.append((int(seed) - base_seed, est))
-            yield pd.DataFrame(rows, columns=["trial", "estimate"])
-
-    n_part = min(n_trials, max(2, spark.sparkContext.defaultParallelism))
-    out = (
-        spark.range(base_seed, base_seed + n_trials)
-        .repartition(n_part)
-        .mapInPandas(worker, schema="trial long, estimate double")
-        .toPandas()
-    )
-    bc.unpersist()
-    return out
+    return _distribute(spark, one, payload, n_trials, base_seed, "trial long, estimate double")
 
 
 def table_fig12(

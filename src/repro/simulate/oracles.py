@@ -43,6 +43,7 @@ class SimulatedOracle:
         self.budget = budget
         self._count = 0
         self._acc = None
+        self._udf = None
 
     # ------------------------------------------------------------------
     # Local / numpy path
@@ -51,7 +52,7 @@ class SimulatedOracle:
         """Invoke the oracle on ``values`` (the hidden labels of the
         sampled records). Returns them unchanged; counts the calls."""
         values = np.asarray(values)
-        self._charge(values.size)
+        self.charge(values.size)
         return values
 
     def check_budget(self, n: int) -> None:
@@ -64,7 +65,10 @@ class SimulatedOracle:
                 f" > {self.budget}"
             )
 
-    def _charge(self, n: int) -> None:
+    def charge(self, n: int) -> None:
+        """Count ``n`` calls made outside :meth:`call` (e.g. a group-by
+        trial's deduplicated draws); raise BudgetExceededError if the
+        total now exceeds the budget."""
         self._count += int(n)
         if self.budget is not None and self.calls > self.budget:
             raise BudgetExceededError(
@@ -77,23 +81,22 @@ class SimulatedOracle:
     def spark_udf(self, spark: SparkSession):
         """A pandas UDF ``oracle(hidden_label) -> label`` that counts
         invocations with a Spark accumulator (sums across executors).
+        Built once per accumulator: :meth:`reset` drops both.
 
         The UDF itself cannot enforce ``budget``: executors only add to
         the accumulator, and the driver sees the sum after the job. The
         Spark queries call :meth:`check_budget` with each stage's planned
         row count first."""
-        import pyspark.sql.functions as F  # noqa: F811  (udf decorator)
+        if self._udf is None:
+            acc = self._acc = spark.sparkContext.accumulator(0)
 
-        if self._acc is None:
-            self._acc = spark.sparkContext.accumulator(0)
-        acc = self._acc
+            @F.pandas_udf("long")
+            def _oracle(col: pd.Series) -> pd.Series:
+                acc.add(len(col))
+                return col.astype("int64")
 
-        @F.pandas_udf("long")
-        def _oracle(col: pd.Series) -> pd.Series:
-            acc.add(len(col))
-            return col.astype("int64")
-
-        return _oracle
+            self._udf = _oracle
+        return self._udf
 
     def apply(self, df, out_col: str = "oracle_label"):
         """Apply the oracle to a (sampled!) DataFrame, adding ``out_col``.
@@ -112,5 +115,4 @@ class SimulatedOracle:
 
     def reset(self) -> None:
         self._count = 0
-        if self._acc is not None:
-            self._acc = None
+        self._acc = self._udf = None

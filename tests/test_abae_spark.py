@@ -90,6 +90,13 @@ class TestAbaeQuery:
             abae_query(ns_df, n_budget=3, oracle=oracle, k=5, seed=1)
         assert oracle.calls == 0
 
+    def test_empty_table_rejected(self, ns_df):
+        """An empty table is an error, not the 0.0 of "no positives"."""
+        oracle = SimulatedOracle("label")
+        with pytest.raises(ValueError):
+            abae_query(ns_df.limit(0), n_budget=500, oracle=oracle, seed=1)
+        assert oracle.calls == 0
+
     @pytest.mark.parametrize("budget", [100, 700])
     def test_oracle_limit_enforced(self, ns_df, budget):
         """An oracle budget below the query's plan raises before the

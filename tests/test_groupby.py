@@ -109,6 +109,15 @@ class TestMultiOracleTrial:
         res = groupby_multi_trial(data, 2000, np.random.default_rng(0), oracle=oracle)
         assert oracle.calls == res.oracle_calls
 
+    def test_budget_below_bins_rejected(self, gb_multi):
+        """N < G·K cannot pilot every (stratification, stratum) bin: at
+        N = 8 with 4 groups and 5 strata it is rejected before any call."""
+        data = build_groupby_data(gb_multi.pdf, list(gb_multi.proxy_cols), 5)
+        oracle = SimulatedOracle()
+        with pytest.raises(ValueError):
+            groupby_multi_trial(data, 8, np.random.default_rng(0), oracle=oracle)
+        assert oracle.calls == 0
+
     def test_estimates_shape_and_finite(self, gb_multi):
         data = build_groupby_data(gb_multi.pdf, list(gb_multi.proxy_cols), 5)
         res = groupby_multi_trial(data, 4000, np.random.default_rng(1))
@@ -163,6 +172,13 @@ class TestSingleOracleTrial:
         # exceed the sum of per-bin draws, and equals it only if no
         # record repeats.
         assert 0 < res.oracle_calls <= 3000
+
+    def test_budget_below_bins_rejected(self, gb_single):
+        data = build_groupby_data(gb_single.pdf, list(gb_single.proxy_cols), 5)
+        oracle = SimulatedOracle()
+        with pytest.raises(ValueError):
+            groupby_single_trial(data, 8, np.random.default_rng(0), oracle=oracle)
+        assert oracle.calls == 0
 
     def test_estimates_finite(self, gb_single):
         data = build_groupby_data(gb_single.pdf, list(gb_single.proxy_cols), 5)

@@ -71,6 +71,20 @@ class TestSparkOracle:
         o.apply(df.filter(F.col("id") < 13)).agg(F.sum("oracle_label")).collect()
         assert o.calls == 20
 
+    def test_udf_built_once_per_accumulator(self, spark, night_street):
+        """apply() reuses one UDF, which keeps metering every apply;
+        reset() drops it with the count."""
+        df = night_street.to_spark(spark)
+        o = SimulatedOracle("label")
+        udf = o.spark_udf(spark)
+        for _ in range(2):
+            o.apply(df.filter(F.col("id") < 13)).agg(F.sum("oracle_label")).collect()
+        assert o.spark_udf(spark) is udf
+        assert o.calls == 26
+        o.reset()
+        assert o.calls == 0
+        assert o.spark_udf(spark) is not udf
+
     def test_catalyst_prunes_unconsumed_oracle(self, spark, night_street):
         """Documented behaviour: an oracle column nobody reads is
         pruned by the optimizer and costs zero invocations."""

@@ -126,6 +126,12 @@ class TestCombinedProxyTrial:
         est = combined_proxy_trial(scores, values, labels, 600, rng)
         assert np.isfinite(est)
 
+    def test_pilot_over_budget_rejected(self):
+        """The pilot holds at least 50 records, so N = 40 cannot pay for it."""
+        scores, values, labels = _pilot()
+        with pytest.raises(ValueError):
+            combined_proxy_trial(scores, values, labels, 40, np.random.default_rng(0))
+
     def test_unbiased_on_average(self):
         scores, values, labels = _pilot(n=8000, seed=4)
         truth = float(values[labels == 1].mean())

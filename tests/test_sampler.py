@@ -112,6 +112,14 @@ class TestAbaeTrial:
             abae_trial(toy_strata, 2, np.random.default_rng(0), oracle=oracle)
         assert oracle.calls == 0
 
+    def test_empty_strata_rejected(self):
+        """No records at all is an error, not the 0.0 of "no positives"."""
+        strata = [(np.empty(0), np.empty(0, dtype=int)) for _ in range(3)]
+        oracle = SimulatedOracle()
+        with pytest.raises(ValueError):
+            abae_trial(strata, 60, np.random.default_rng(0), oracle=oracle)
+        assert oracle.calls == 0
+
     def test_all_negative_strata_returns_zero(self):
         strata = [(np.ones(100), np.zeros(100, dtype=int)) for _ in range(3)]
         res = abae_trial(strata, 60, np.random.default_rng(0))

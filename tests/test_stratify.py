@@ -9,12 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pyspark.sql import functions as F
 
-from repro.core.stratify import (
-    add_stratum,
-    add_stratum_approx,
-    strata_arrays,
-    stratify_indices,
-)
+from repro.core.stratify import add_stratum, strata_arrays, stratify_indices
 from repro.oracle import assert_equivalent
 
 
@@ -132,27 +127,3 @@ class TestSparkStratification:
             """,
             t=pdf,
         )
-
-    def test_approx_stratification_close_to_exact(self, spark):
-        pdf, df = self._frame(spark, n=2000, seed=3)
-        exact = (
-            add_stratum(df, 5).select("id", "stratum").toPandas().sort_values("id")
-        )
-        approx = (
-            add_stratum_approx(df, 5)
-            .select("id", "stratum")
-            .toPandas()
-            .sort_values("id")
-        )
-        agreement = (
-            exact["stratum"].to_numpy() == approx["stratum"].to_numpy()
-        ).mean()
-        assert agreement > 0.98
-
-    def test_approx_is_a_partition(self, spark):
-        _, df = self._frame(spark, n=1000, seed=4)
-        counts = (
-            add_stratum_approx(df, 5).groupBy("stratum").count().toPandas()
-        )
-        assert counts["count"].sum() == 1000
-        assert set(counts["stratum"]) == set(range(5))
