@@ -33,7 +33,10 @@ come from the unfiltered ranking: the same order, so the sample is the
 same, no row is labeled twice and no sample comes back short. Before
 each oracle stage the planned row count is checked against the oracle's
 remaining budget on the driver, since the accumulator that meters the
-UDF can only be read after a job has labeled its rows.
+UDF can only be read after a job has labeled its rows. A query reports
+the calls it metered itself (the accumulator's growth over the query)
+and raises if they differ from the rows it labeled: an accumulator
+updated in a transformation counts again when a stage re-executes.
 """
 from __future__ import annotations
 
@@ -60,7 +63,7 @@ class ABAEQueryResult:
     Attributes:
         estimate: the approximate answer μ̂_all.
         ci: (lower, upper) bootstrap CI, or None if no CI requested.
-        oracle_calls: oracle invocations actually spent.
+        oracle_calls: oracle invocations this query spent.
         p_hat/mu_hat/sigma_hat: final per-stratum plug-in estimates.
         allocation: Stage-2 allocation T̂.
         samples: per-stratum sampled (values, labels), for reuse.
@@ -120,6 +123,19 @@ def _per_stratum(
     return samples
 
 
+def _metered(oracle: SimulatedOracle, before: int, labeled: int) -> int:
+    """The calls ``oracle`` metered since it stood at ``before``.
+
+    Raises:
+        RuntimeError: if they are not ``labeled``, the number of rows
+            the query labeled (Σ|samples|).
+    """
+    calls = oracle.calls - before
+    if calls != labeled:
+        raise RuntimeError(f"oracle metered {calls} calls for {labeled} labeled rows")
+    return calls
+
+
 def abae_query(
     df: DataFrame,
     *,
@@ -143,7 +159,10 @@ def abae_query(
             is empty.
         BudgetExceededError: before a stage whose rows exceed the
             oracle's remaining budget is labeled.
+        RuntimeError: if the oracle metered other than one call per
+            labeled row (see :func:`_metered`).
     """
+    calls_before = oracle.calls
     n1_per, n2 = split_budget(n_budget, k, stage1_frac)
     q, r = divmod(df.count(), k)
     sizes = np.full(k, q, dtype=np.int64)
@@ -185,6 +204,7 @@ def abae_query(
         # Blocking, so the block removal does not run on into the next job.
         cands.unpersist(blocking=True)
 
+    calls = _metered(oracle, calls_before, res.oracle_calls)
     ci = None
     if n_boot > 0:
         ci = bootstrap_ci(
@@ -193,7 +213,7 @@ def abae_query(
     return ABAEQueryResult(
         estimate=res.estimate,
         ci=ci,
-        oracle_calls=oracle.calls,
+        oracle_calls=calls,
         p_hat=np.array([e.p_hat for e in res.final]),
         mu_hat=np.array([e.mu_hat for e in res.final]),
         sigma_hat=np.array([e.sigma_hat for e in res.final]),
@@ -229,8 +249,11 @@ def uniform_query(
     so every call is metered, in one Spark job of two stages (a
     ``repartition(1)`` there would add a shuffle and a second job). The
     query plans ``n_budget`` calls and raises BudgetExceededError
-    before labeling if they exceed the oracle's remaining budget.
+    before labeling if they exceed the oracle's remaining budget, and
+    RuntimeError if the oracle metered other than one call per labeled
+    row.
     """
+    calls_before = oracle.calls
     oracle.check_budget(n_budget)
     cols = list(dict.fromkeys([id_col, value_col, oracle.label_col]))
     sampled = (
@@ -250,6 +273,7 @@ def uniform_query(
     )
     v = pdf[value_col].to_numpy(dtype=float)
     l = pdf["oracle_label"].to_numpy()
+    calls = _metered(oracle, calls_before, v.size)
     est = plugin_estimates(v, l)
     ci = None
     if n_boot > 0:
@@ -259,7 +283,7 @@ def uniform_query(
     return ABAEQueryResult(
         estimate=est.mu_hat,
         ci=ci,
-        oracle_calls=oracle.calls,
+        oracle_calls=calls,
         p_hat=np.array([est.p_hat]),
         mu_hat=np.array([est.mu_hat]),
         sigma_hat=np.array([est.sigma_hat]),

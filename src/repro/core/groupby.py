@@ -128,6 +128,7 @@ def solve_minimax_single(coef_lg: np.ndarray, n2: int) -> np.ndarray:
 def _pilot(data: GroupByData, n_budget: int, rng: np.random.Generator, stage1_frac: float):
     """Stage 1 of both group-by trials: one :func:`prefix_draw` per
     stratification and its first ⌊C·N/(G·K)⌋ ranks in every stratum.
+    The draws are N deep: Stage 2 ends at n1_k + ⌊Λ_l·N₂⌋ ≤ N.
 
     Returns (draws, sizes, n1, pilot samples), each indexed by
     stratification l.
@@ -138,7 +139,7 @@ def _pilot(data: GroupByData, n_budget: int, rng: np.random.Generator, stage1_fr
     g_n, k = data.n_groups, data.k
     check_pilot_budget(n_budget, g_n * k)
     n1_per, _ = split_budget(n_budget, g_n * k, stage1_frac)
-    draws = [prefix_draw(data.strata[l], rng) for l in range(g_n)]
+    draws = [prefix_draw(data.strata[l], rng, n_budget) for l in range(g_n)]
     sizes = [np.array([b[0].size for b in data.strata[l]]) for l in range(g_n)]
     n1 = [np.minimum(n1_per, s) for s in sizes]
     drawn = [draws[l](np.zeros(k, dtype=np.int64), n1[l]) for l in range(g_n)]

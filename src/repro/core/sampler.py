@@ -13,7 +13,8 @@ ranks (lo_k, hi_k] of every stratum k.
   the final estimates use the union of both stages' draws.
 
 The paths differ only in their draw: ``abae_trial`` slices one random
-permutation per stratum (:func:`prefix_draw`), the Spark query
+ordered sample per stratum, just deep enough for both stages
+(:func:`prefix_draw`), the Spark query
 (``core.abae``) filters a seeded ``xxhash64`` rank, and the
 combined-proxy trial (``core.proxy_select``) brings its own pilot to
 :func:`abae_stage2`. The group-by trials (``core.groupby``) couple
@@ -86,21 +87,35 @@ def check_pilot_budget(n_budget: int, k: int) -> None:
 
 
 def prefix_draw(
-    strata: list[tuple[np.ndarray, ...]], rng: np.random.Generator
+    strata: list[tuple[np.ndarray, ...]], rng: np.random.Generator, depth: int
 ) -> Draw:
     """A :data:`Draw` over in-memory strata: each stratum's sampling
-    order is one uniform random permutation, so ranks (lo_k, hi_k] are
-    a slice of it and the stages draw without replacement.
+    order begins with one uniformly random ordered sample of
+    min(|D_k|, ``depth``) of its records, drawn without replacement, so
+    ranks (lo_k, hi_k] are a slice of it and the stages draw without
+    replacement. ``depth`` is the deepest rank any stage will ask for;
+    a draw costs O(depth) random numbers per stratum, not O(|D_k|).
 
     ``strata[k]`` is a tuple of equally long arrays (e.g. values and
     labels); the draw returns the same tuple restricted to the ranks.
+
+    The draw raises ValueError for ranks beyond ``depth`` in a stratum
+    that has more rows, rather than return a short sample.
     """
-    perms = [rng.permutation(arrays[0].size) for arrays in strata]
+    sizes = np.array([arrays[0].size for arrays in strata], dtype=np.int64)
+    depths = np.minimum(sizes, depth)
+    orders = [rng.choice(n, d, replace=False) for n, d in zip(sizes, depths)]
 
     def draw(lo: np.ndarray, hi: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+        short = (hi > depths) & (depths < sizes)
+        if short.any():
+            raise ValueError(
+                f"draw past the sampled prefix: ranks up to {hi[short]}"
+                f" of strata {np.flatnonzero(short)}, prefix depth {depth}"
+            )
         return [
-            tuple(a[p[a_lo:a_hi]] for a in arrays)
-            for arrays, p, a_lo, a_hi in zip(strata, perms, lo, hi)
+            tuple(a[o[a_lo:a_hi]] for a in arrays)
+            for arrays, o, a_lo, a_hi in zip(strata, orders, lo, hi)
         ]
 
     return draw
@@ -186,7 +201,8 @@ def abae_trial(
     oracle=None,
 ) -> TrialResult:
     """Run one ABAE trial (Algorithm 1, ``ABAESample``) on in-memory
-    strata, in the order of :func:`prefix_draw`.
+    strata, in the order of :func:`prefix_draw`, drawn N₁/K + N₂ ranks
+    deep: Stage 2 ends at N₁/K + ⌊N₂·T̂_k⌋ at most.
 
     Args:
         strata: per-stratum (values, labels) arrays.
@@ -201,7 +217,8 @@ def abae_trial(
         ValueError: if ``n_budget`` is smaller than the number of
             strata, or if every stratum is empty.
     """
-    take = prefix_draw(strata, rng)
+    n1_per, n2 = split_budget(n_budget, len(strata), stage1_frac)
+    take = prefix_draw(strata, rng, n1_per + n2)
 
     def draw(lo: np.ndarray, hi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         return [(v, l if oracle is None else oracle.call(l)) for v, l in take(lo, hi)]

@@ -198,6 +198,33 @@ class TestSampleIdentity:
         assert res.oracle_calls == oracle.calls == 700
 
 
+@pytest.mark.parametrize("query", [abae_query, uniform_query])
+class TestMetering:
+    def test_calls_are_per_query(self, ns_df, query):
+        """Two queries on one oracle: each reports its own calls, not
+        the oracle's running total."""
+        oracle = SimulatedOracle("label")
+        r1 = query(ns_df, n_budget=600, oracle=oracle, seed=1)
+        r2 = query(ns_df, n_budget=500, oracle=oracle, seed=2)
+        assert r2.oracle_calls == sum(v.size for v, _ in r2.samples)
+        assert r1.oracle_calls + r2.oracle_calls == oracle.calls
+
+    def test_double_metering_raises(self, ns_df, query):
+        """A labeled frame evaluated twice meters its rows twice; the
+        query raises instead of reporting those calls."""
+        oracle = SimulatedOracle("label")
+        apply = oracle.apply
+
+        def apply_twice(df):
+            labeled = apply(df)
+            labeled.select("oracle_label").collect()
+            return labeled
+
+        oracle.apply = apply_twice
+        with pytest.raises(RuntimeError, match="metered"):
+            query(ns_df, n_budget=600, oracle=oracle, seed=3)
+
+
 class TestUniformQuery:
     def test_budget_exact(self, ns_df):
         oracle = SimulatedOracle("label")

@@ -59,6 +59,56 @@ class TestReplicates:
         reps = bootstrap_replicates(samples, np.random.default_rng(0), n_boot=50)
         np.testing.assert_array_equal(reps, 0.0)
 
+    def test_percentiles_match_reference(self, toy_strata):
+        """The CI's 2.5/50/97.5 % points match Algorithm 2 transcribed
+        directly, within a quarter of the replicates' std (about four
+        standard errors of a 2.5 % point at B = 4000)."""
+        res = abae_trial(toy_strata, 400, np.random.default_rng(10))
+        vec = bootstrap_replicates(res.samples, np.random.default_rng(11), n_boot=4000)
+        ref = _reference_bootstrap(res.samples, np.random.default_rng(12), 4000)
+        np.testing.assert_allclose(
+            np.percentile(vec, [2.5, 50, 97.5]),
+            np.percentile(ref, [2.5, 50, 97.5]),
+            rtol=0,
+            atol=0.25 * ref.std(),
+        )
+
+    def test_boolean_labels(self, toy_strata):
+        res = abae_trial(toy_strata, 400, np.random.default_rng(13))
+        as_bool = [(v, l.astype(bool)) for v, l in res.samples]
+        np.testing.assert_array_equal(
+            bootstrap_replicates(as_bool, np.random.default_rng(14), n_boot=200),
+            bootstrap_replicates(res.samples, np.random.default_rng(14), n_boot=200),
+        )
+
+    def test_all_positive_stratum(self):
+        """Every resample keeps p̂* = 1, so a replicate is the mean of m
+        values drawn with replacement: std σ/√m."""
+        vals = np.random.default_rng(15).normal(3.0, 2.0, 400)
+        reps = bootstrap_replicates(
+            [(vals, np.ones(400, dtype=int))], np.random.default_rng(16), n_boot=4000
+        )
+        assert reps.mean() == pytest.approx(vals.mean(), abs=4 * vals.std() / np.sqrt(400 * 4000))
+        assert reps.std() == pytest.approx(vals.std() / np.sqrt(400), rel=0.1)
+
+    def test_stratum_without_positives_adds_nothing(self, toy_strata):
+        res = abae_trial(toy_strata, 400, np.random.default_rng(17))
+        negatives = (np.arange(30.0), np.zeros(30, dtype=int))
+        np.testing.assert_array_equal(
+            bootstrap_replicates([*res.samples, negatives], np.random.default_rng(18), n_boot=300),
+            bootstrap_replicates(res.samples, np.random.default_rng(18), n_boot=300),
+        )
+
+    def test_single_draw_strata(self):
+        """m_k = 1: a resample is the draw itself, in every replicate."""
+        samples = [
+            (np.array([5.0]), np.array([1])),
+            (np.array([3.0]), np.array([0])),
+            (np.array([2.0]), np.array([1])),
+        ]
+        reps = bootstrap_replicates(samples, np.random.default_rng(0), n_boot=100)
+        np.testing.assert_array_equal(reps, 3.5)
+
 
 class TestCI:
     def test_ordered_bounds(self, toy_strata):

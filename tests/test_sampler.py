@@ -10,6 +10,7 @@ from repro.core.estimator import true_strata_params
 from repro.core.sampler import (
     abae_trial,
     deterministic_draw_trial,
+    prefix_draw,
     split_budget,
     uniform_trial,
 )
@@ -36,6 +37,44 @@ class TestSplitBudget:
     def test_tiny_budget_still_pilots(self):
         n1_per, _ = split_budget(4, 5, 0.5)
         assert n1_per == 1
+
+
+class TestPrefixDraw:
+    def test_stages_disjoint_within_stratum(self):
+        strata = [(np.arange(n),) for n in (50, 200, 7)]
+        draw = prefix_draw(strata, np.random.default_rng(0), 30)
+        n1 = np.array([5, 5, 5])
+        hi = np.array([30, 12, 7])
+        stage1 = draw(np.zeros(3, dtype=np.int64), n1)
+        stage2 = draw(n1, hi)
+        for (s1,), (s2,), (ranks,), h in zip(stage1, stage2, strata, hi):
+            both = np.concatenate([s1, s2])
+            assert s1.size == 5 and both.size == h
+            assert np.unique(both).size == both.size
+            assert np.isin(both, ranks).all()
+
+    def test_first_rank_uniform(self):
+        """Chi-square test of the record at rank 1 over 20 records,
+        4000 draws: below 43.82, the 0.999 quantile of χ²(19)."""
+        n, reps = 20, 4000
+        rng = np.random.default_rng(1)
+        strata = [(np.arange(n),)]
+        lo, hi = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+        first = [prefix_draw(strata, rng, 3)(lo, hi)[0][0][0] for _ in range(reps)]
+        counts = np.bincount(first, minlength=n)
+        chi2 = ((counts - reps / n) ** 2 / (reps / n)).sum()
+        assert chi2 < 43.82
+
+    def test_draw_past_prefix_rejected(self):
+        """Ranks beyond the drawn prefix of a larger stratum raise instead
+        of coming back short; a stratum within the depth can be drawn to
+        its end."""
+        strata = [(np.arange(10),), (np.arange(3),)]
+        draw = prefix_draw(strata, np.random.default_rng(2), 4)
+        zeros = np.zeros(2, dtype=np.int64)
+        assert [s.size for s, in draw(zeros, np.array([4, 3]))] == [4, 3]
+        with pytest.raises(ValueError):
+            draw(zeros, np.array([5, 3]))
 
 
 class TestAbaeTrial:
