@@ -46,6 +46,54 @@ def plugin_estimates(values: np.ndarray, labels: np.ndarray) -> StratumEstimate:
     return StratumEstimate(n, n_pos, p_hat, mu_hat, sigma_hat)
 
 
+@dataclass
+class GroupEstimates:
+    """Plug-in estimates of every group in each of B bins: arrays of
+    shape (B, G) whose entry [b, g] is what :func:`plugin_estimates`
+    gives for bin b's draws labeled ``groups == g``."""
+
+    n_pos: np.ndarray
+    p_hat: np.ndarray
+    mu_hat: np.ndarray
+    sigma_hat: np.ndarray
+
+
+def group_estimates(bins: list[tuple[np.ndarray, ...]], n_groups: int) -> GroupEstimates:
+    """(n_pos, p̂, μ̂, σ̂) of groups 0..G−1 in every bin at once.
+
+    ``bins[b]`` starts with the arrays (values, groups) of one bin's
+    draws; a group key outside 0..G−1 (−1 = no group) is negative for
+    every group. One ``bincount`` pass over all bins gives the counts
+    and sums, and a second the squared deviations from each mean (σ̂
+    with ddof = 1, as :func:`plugin_estimates`). Sums run in draw
+    order, so the results match :func:`plugin_estimates` to rounding.
+    """
+    n_draws = np.array([b[1].size for b in bins], dtype=np.int64)
+    values = np.asarray(np.concatenate([b[0] for b in bins]), dtype=float)
+    groups = np.concatenate([b[1] for b in bins])
+    # Slot 0 of each bin's G + 1 collects the draws in no group.
+    width = n_groups + 1
+    slot = np.where((groups >= 0) & (groups < n_groups), groups + 1, 0)
+    key = np.repeat(np.arange(len(bins)) * width, n_draws) + slot
+    size = len(bins) * width
+    n_pos = np.bincount(key, minlength=size)
+    mu = np.bincount(key, weights=values, minlength=size) / np.maximum(n_pos, 1)
+    dev = values - mu[key]
+    ss = np.bincount(key, weights=dev * dev, minlength=size)
+    sigma = np.where(n_pos > 1, np.sqrt(ss / np.maximum(n_pos - 1, 1)), 0.0)
+
+    def per_group(a: np.ndarray) -> np.ndarray:
+        return a.reshape(len(bins), width)[:, 1:]
+
+    n_pos = per_group(n_pos)
+    return GroupEstimates(
+        n_pos=n_pos,
+        p_hat=n_pos / np.maximum(n_draws, 1)[:, None],
+        mu_hat=per_group(mu),
+        sigma_hat=per_group(sigma),
+    )
+
+
 def combine(p_hats: np.ndarray, mu_hats: np.ndarray) -> float:
     """μ̂_all = Σ_k p̂_k μ̂_k / Σ_k p̂_k (Algorithm 1 line 20).
 

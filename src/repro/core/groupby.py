@@ -20,6 +20,13 @@ Baseline: uniform sampling with the same total oracle budget.
 Oracle-call accounting: in the single-oracle setting one invocation
 labels a record for every group, and repeated draws of the same record
 across stratifications are cached (counted once).
+
+In the single-oracle trial the per-bin p̂, μ̂, σ̂ of all G groups come
+from one :func:`~repro.core.estimator.group_estimates` pass over a
+stage's (stratification, stratum) bins, and the Err coefficients, T̂
+and the inverse-variance combination are computed on those (L, K, G)
+arrays. The multiple-oracle trial needs only group l's estimates in
+stratification l and keeps :func:`~repro.core.estimator.plugin_estimates`.
 """
 from __future__ import annotations
 
@@ -27,8 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.allocation import mse_for_allocation
-from repro.core.estimator import StratumEstimate, combine, plugin_estimates
+from repro.core.allocation import mse_for_allocation, optimal_allocation
+from repro.core.estimator import (
+    StratumEstimate,
+    combine,
+    group_estimates,
+    plugin_estimates,
+)
 from repro.core.sampler import (
     check_pilot_budget,
     pilot_allocation,
@@ -97,6 +109,18 @@ def _err_coef(pilot: list[StratumEstimate], t: np.ndarray) -> float:
     return min(mse_for_allocation(p, sigma, t, 1), 1e12)
 
 
+def _err_coefs(p: np.ndarray, sigma: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """:func:`_err_coef` of every group at once, from per-stratum pilot
+    p̂ and σ̂ of shape (..., K, G) and t of shape (..., K); returns shape
+    (..., G)."""
+    p_all = p.sum(axis=-2, keepdims=True)
+    w = np.divide(p, p_all, out=np.zeros_like(p), where=p_all > 0)
+    num = w**2 * sigma**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(num > 0, num / (p * t[..., None]), 0.0)
+    return np.minimum(terms.sum(axis=-2), 1e12)
+
+
 def solve_minimax_multi(coefs: np.ndarray, n2: int) -> np.ndarray:
     """Eq. 11: min over Λ of max_g coef_g/(Λ_g·N₂).
 
@@ -112,17 +136,22 @@ def solve_minimax_single(coef_lg: np.ndarray, n2: int) -> np.ndarray:
     Nelder–Mead.
 
     ``coef_lg[l, g]`` is the Err coefficient of group g's estimate when
-    sampling via stratification l.
+    sampling via stratification l. Group g's precision is Σ_l Λ_l·prec_{l,g}
+    with prec = N₂/coef, so the objective is one over the smallest
+    precision.
     """
-    coef_lg = np.maximum(np.asarray(coef_lg, dtype=float), 1e-12)
-    n_l, n_g = coef_lg.shape
+    prec = n2 / np.maximum(np.asarray(coef_lg, dtype=float), 1e-12)
 
     def objective(lam: np.ndarray) -> float:
-        lam = np.maximum(lam, 1e-12)
-        inv_var = (lam[:, None] * n2) / coef_lg  # (l, g) precision terms
-        return float(np.max(1.0 / inv_var.sum(axis=0)))
+        return 1.0 / float((np.maximum(lam, 1e-12) @ prec).min())
 
-    return minimize_on_simplex(objective, n_l)
+    return minimize_on_simplex(objective, prec.shape[0])
+
+
+def _n_distinct(ids: list[np.ndarray]) -> int:
+    """Number of distinct record ids in ``ids`` (oracle calls with a
+    label cache)."""
+    return int(np.unique(np.concatenate(ids)).size)
 
 
 def _pilot(data: GroupByData, n_budget: int, rng: np.random.Generator, stage1_frac: float):
@@ -202,29 +231,26 @@ def groupby_single_trial(
     Raises:
         ValueError: if N < G·K (see :func:`_pilot`).
     """
-    g_n = data.n_groups
+    g_n, k = data.n_groups, data.k
     draws, sizes, n1, drawn = _pilot(data, n_budget, rng, stage1_frac)
-    seen = {i for bins in drawn for _, _, ids in bins for i in ids.tolist()}
 
-    # pilots[l][g]: group g's per-stratum estimates in stratification l.
-    pilots = [
-        [[plugin_estimates(v, grps == g) for v, grps, _ in drawn[l]] for g in range(g_n)]
-        for l in range(g_n)
-    ]
-    t_hats = [pilot_allocation(pilots[l][l]) for l in range(g_n)]
-    coef_lg = np.array(
-        [[_err_coef(pilots[l][g], t_hats[l]) for g in range(g_n)] for l in range(g_n)]
-    )
+    # p[l, k, g], sigma[l, k, g]: group g's pilot estimates in stratum k
+    # of stratification l.
+    pilot = group_estimates([b for bins in drawn for b in bins], g_n)
+    p = pilot.p_hat.reshape(g_n, k, g_n)
+    sigma = pilot.sigma_hat.reshape(p.shape)
+    t_hats = np.array([optimal_allocation(p[l, :, l], sigma[l, :, l]) for l in range(g_n)])
+    coef_lg = _err_coefs(p, sigma, t_hats)
 
-    n2 = n_budget - len(seen)
+    n2 = n_budget - _n_distinct([ids for bins in drawn for _, _, ids in bins])
     lam = solve_minimax_single(coef_lg, max(n2, 1))
 
-    # ---- Stage 2 draws (with Stage-1 reuse per bin) ----
-    samp = []  # samp[l]: per-stratum (values, groups, ids) drawn via l
+    # ---- Stage 2 draws (with Stage-1 reuse per bin), in order (l, k) ----
+    samp = []
     for l in range(g_n):
         hi = stage2_extents(n1[l], t_hats[l], int(lam[l] * n2), sizes[l])
-        samp.append(draws[l](np.zeros_like(hi), hi))
-        seen.update(i for _, _, ids in samp[l] for i in ids.tolist())
+        samp += draws[l](np.zeros_like(hi), hi)
+    calls = _n_distinct([ids for _, _, ids in samp])
 
     # ---- Inverse-variance combination across stratifications ----
     # Eq. 10 weighs each stratification's estimate by its (plug-in)
@@ -234,34 +260,32 @@ def groupby_single_trial(
     # draw — stable, since a single oracle call labels every group —
     # and the realized positive-draw counts, which also credits the
     # Stage-1 reuse that Eq. 10's asymptotic form drops.
-    all_v = np.concatenate([v for l in range(g_n) for (v, _, _) in samp[l]])
-    all_g = np.concatenate([gr for l in range(g_n) for (_, gr, _) in samp[l]])
-    estimates = np.zeros(g_n)
-    for g in range(g_n):
-        pos = all_v[all_g == g]
-        sig_g = float(pos.std(ddof=1)) if pos.size > 1 else 0.0
-        num = den = 0.0
-        for l in range(g_n):
-            final = [plugin_estimates(v, gr == g) for v, gr, _ in samp[l]]
-            p_f = np.array([e.p_hat for e in final])
-            mu_f = np.array([e.mu_hat for e in final])
-            b_pos = np.array([e.n_pos for e in final])
-            p_all = p_f.sum()
-            if p_all <= 0 or b_pos.sum() < 3 or sig_g <= 0:
-                continue
-            w = p_f / p_all
-            var_lg = float(sig_g**2 * (w**2 / np.maximum(b_pos, 0.5)).sum())
-            num += combine(p_f, mu_f) / var_lg
-            den += 1.0 / var_lg
-        if den > 0:
-            estimates[g] = num / den
-        elif sig_g == 0.0 and pos.size > 0:
-            estimates[g] = float(pos.mean())
-    if oracle is not None:
-        oracle.charge(len(seen))
-    return GroupTrialResult(
-        estimates=estimates, oracle_calls=len(seen), allocation=lam
+    pooled = group_estimates(
+        [(np.concatenate([v for v, _, _ in samp]), np.concatenate([gr for _, gr, _ in samp]))],
+        g_n,
     )
+    sig = pooled.sigma_hat[0]
+    # Per (stratification l, group g): the K-strata combined estimate,
+    # weighed by one over its variance.
+    final = group_estimates(samp, g_n)
+    p = final.p_hat.reshape(g_n, k, g_n)
+    b_pos = final.n_pos.reshape(p.shape)
+    p_all = p.sum(axis=1)
+    used = (p_all > 0) & (b_pos.sum(axis=1) >= 3) & (sig > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        combined = (p * final.mu_hat.reshape(p.shape)).sum(axis=1) / p_all
+        w = p / p_all[:, None, :]
+        var_lg = sig**2 * (w**2 / np.maximum(b_pos, 0.5)).sum(axis=1)
+        num = np.where(used, combined / var_lg, 0.0).sum(axis=0)
+        den = np.where(used, 1.0 / var_lg, 0.0).sum(axis=0)
+        estimates = np.where(den > 0, num / den, 0.0)
+    # No stratification qualified: a group whose positives all share
+    # one value is that value.
+    constant = (den == 0) & (sig == 0) & (pooled.n_pos[0] > 0)
+    estimates[constant] = pooled.mu_hat[0][constant]
+    if oracle is not None:
+        oracle.charge(calls)
+    return GroupTrialResult(estimates=estimates, oracle_calls=calls, allocation=lam)
 
 
 def groupby_uniform_trial(

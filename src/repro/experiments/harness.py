@@ -61,8 +61,14 @@ def _distribute(
     ``schema`` is the Spark DDL of the output rows, the leading
     ``trial long`` included. With ``spark`` the seeds are spread over
     the cluster by ``mapInPandas`` and ``data`` is broadcast once;
-    without it they run in a local loop.
+    without it they run in a local loop. The seeds are one range of
+    ``n_part`` partitions, so a call is a single Spark job.
+
+    Raises:
+        ValueError: if ``n_trials`` < 1.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     cols = [c.split()[0] for c in schema.split(",")]
     if spark is None:
         rows = [(i, *r) for i in range(n_trials) for r in fn(data, base_seed + i)]
@@ -79,7 +85,7 @@ def _distribute(
             yield pd.DataFrame(rows, columns=cols)
 
     n_part = min(n_trials, max(2, spark.sparkContext.defaultParallelism))
-    seeds = spark.range(base_seed, base_seed + n_trials).repartition(n_part)
+    seeds = spark.range(base_seed, base_seed + n_trials, numPartitions=n_part)
     out = seeds.mapInPandas(worker, schema=schema).toPandas()
     bc.unpersist()
     # Stable, so the rows of one trial keep the order ``fn`` gave them.

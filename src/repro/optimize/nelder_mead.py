@@ -1,15 +1,21 @@
 """Nelder–Mead simplex minimizer (substrate).
 
 The paper (§3.2, §4.5) solves the minimax sample-allocation objectives
-(Eq. 10 / Eq. 11) with the Nelder–Mead simplex algorithm. scipy is not
-available offline, so we implement the standard algorithm (reflection,
-expansion, contraction, shrink) from scratch in numpy.
+(Eq. 10 / Eq. 11) with the Nelder–Mead simplex algorithm; here it serves
+Eq. 10, whose Λ has one coordinate per group. scipy is not available
+offline, so we implement the standard algorithm (reflection,
+expansion, contraction, shrink) from scratch.
 
 The implementation follows the textbook parameterization
 (alpha=1, gamma=2, rho=0.5, sigma=0.5) with adaptive initial simplex.
+The simplex bookkeeping (ordering, centroid, moves, convergence test)
+runs on Python floats: with a handful of dimensions numpy's per-call
+overhead costs more than the arithmetic. The objective still receives
+numpy arrays.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,6 +52,7 @@ def nelder_mead(
 
     Args:
         f: objective; must accept a 1-D numpy array and return a float.
+            A NaN value counts as +inf, so its vertex ranks worst.
         x0: starting point (1-D array).
         max_iter: iteration cap.
         xatol: simplex-diameter convergence tolerance.
@@ -56,60 +63,67 @@ def nelder_mead(
     Returns:
         NMResult with the best vertex found.
     """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n = x0.size
-    # Build initial simplex: x0 plus n perturbed vertices.
-    simplex = np.tile(x0, (n + 1, 1))
+    start = np.asarray(x0, dtype=float).ravel().tolist()
+    n = len(start)
+
+    def evaluate(v: list[float]) -> float:
+        fv = float(f(np.array(v)))
+        return fv if fv == fv else math.inf
+
+    # Initial simplex: x0 plus n vertices, each moved along one axis.
+    simplex = [start]
     for i in range(n):
-        step = initial_step * abs(x0[i]) if x0[i] != 0 else initial_step
-        simplex[i + 1, i] += step
-    fvals = np.array([f(v) for v in simplex], dtype=float)
+        v = list(start)
+        v[i] += initial_step * abs(v[i]) if v[i] != 0 else initial_step
+        simplex.append(v)
+    fvals = [evaluate(v) for v in simplex]
 
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
     n_iter = 0
     converged = False
     while n_iter < max_iter:
-        order = np.argsort(fvals)
-        simplex, fvals = simplex[order], fvals[order]
-        if (
-            np.max(np.abs(simplex[1:] - simplex[0])) <= xatol
-            and np.max(np.abs(fvals[1:] - fvals[0])) <= fatol
+        order = sorted(range(n + 1), key=fvals.__getitem__)
+        simplex = [simplex[i] for i in order]
+        fvals = [fvals[i] for i in order]
+        best, f_best = simplex[0], fvals[0]
+        # fvals is sorted, so its spread is its last value minus the first.
+        if fvals[-1] - f_best <= fatol and all(
+            abs(a - b) <= xatol for v in simplex[1:] for a, b in zip(v, best)
         ):
             converged = True
             break
-        centroid = simplex[:-1].mean(axis=0)
+        centroid = [sum(col) / n for col in zip(*simplex[:-1])]
         worst = simplex[-1]
         # Reflection.
-        xr = centroid + alpha * (centroid - worst)
-        fr = f(xr)
-        if fvals[0] <= fr < fvals[-2]:
+        xr = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
+        fr = evaluate(xr)
+        if f_best <= fr < fvals[-2]:
             simplex[-1], fvals[-1] = xr, fr
-        elif fr < fvals[0]:
+        elif fr < f_best:
             # Expansion.
-            xe = centroid + gamma * (xr - centroid)
-            fe = f(xe)
+            xe = [c + gamma * (r - c) for c, r in zip(centroid, xr)]
+            fe = evaluate(xe)
             if fe < fr:
                 simplex[-1], fvals[-1] = xe, fe
             else:
                 simplex[-1], fvals[-1] = xr, fr
         else:
             # Contraction (outside if reflected beat worst, else inside).
-            if fr < fvals[-1]:
-                xc = centroid + rho * (xr - centroid)
-            else:
-                xc = centroid + rho * (worst - centroid)
-            fc = f(xc)
+            toward = xr if fr < fvals[-1] else worst
+            xc = [c + rho * (t - c) for c, t in zip(centroid, toward)]
+            fc = evaluate(xc)
             if fc < min(fr, fvals[-1]):
                 simplex[-1], fvals[-1] = xc, fc
             else:
                 # Shrink toward the best vertex.
-                simplex[1:] = simplex[0] + sigma * (simplex[1:] - simplex[0])
-                fvals[1:] = np.array([f(v) for v in simplex[1:]])
+                for i in range(1, n + 1):
+                    simplex[i] = [b + sigma * (a - b) for a, b in zip(simplex[i], best)]
+                    fvals[i] = evaluate(simplex[i])
         n_iter += 1
 
-    best = int(np.argmin(fvals))
+    i_best = min(range(n + 1), key=fvals.__getitem__)
     return NMResult(
-        x=simplex[best].copy(), fun=float(fvals[best]), n_iter=n_iter, converged=converged
+        x=np.array(simplex[i_best]), fun=fvals[i_best], n_iter=n_iter, converged=converged
     )
 
 

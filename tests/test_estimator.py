@@ -7,7 +7,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.estimator import combine, plugin_estimates, true_strata_params
+from repro.core.estimator import combine, group_estimates, plugin_estimates, true_strata_params
 from repro.core.stratify import add_stratum, strata_arrays
 from repro.oracle import assert_equivalent
 
@@ -40,6 +40,57 @@ class TestPluginEstimates:
         a = plugin_estimates(np.array([1.0, -999.0]), np.array([1, 0]))
         b = plugin_estimates(np.array([1.0, 999.0]), np.array([1, 0]))
         assert a.mu_hat == b.mu_hat == 1.0
+
+
+class TestGroupEstimates:
+    G = 3
+
+    @staticmethod
+    def _assert_matches_plugin(bins, n_groups):
+        est = group_estimates(bins, n_groups)
+        assert est.n_pos.shape == est.p_hat.shape == est.sigma_hat.shape == (len(bins), n_groups)
+        for b, (v, grps) in enumerate(bins):
+            for g in range(n_groups):
+                ref = plugin_estimates(v, grps == g)
+                assert est.n_pos[b, g] == ref.n_pos
+                np.testing.assert_allclose(
+                    [est.p_hat[b, g], est.mu_hat[b, g], est.sigma_hat[b, g]],
+                    [ref.p_hat, ref.mu_hat, ref.sigma_hat],
+                    rtol=1e-12, atol=1e-12,
+                )
+
+    def test_matches_plugin_estimates(self):
+        rng = np.random.default_rng(0)
+        bins = []
+        for size in (1, 7, 40, 500, 3000):
+            grps = rng.integers(-1, self.G, size)
+            bins.append((rng.normal(50.0, 10.0, size), grps))
+        self._assert_matches_plugin(bins, self.G)
+
+    def test_edge_cases(self):
+        bins = [
+            (np.array([]), np.array([], dtype=np.int64)),  # empty bin
+            (np.array([4.0, 5.0]), np.array([-1, -1])),  # only draws in no group
+            # group 0 has one positive, group 1 two, group 2 none.
+            (np.array([9.0, 1.0, 2.0, 8.0]), np.array([0, 1, 1, -1])),
+        ]
+        self._assert_matches_plugin(bins, self.G)
+        est = group_estimates(bins, self.G)
+        np.testing.assert_array_equal(est.n_pos, [[0, 0, 0], [0, 0, 0], [1, 2, 0]])
+        assert est.mu_hat[2, 0] == 9.0 and est.sigma_hat[2, 0] == 0.0
+        assert est.mu_hat[2, 2] == 0.0 and est.p_hat[2, 2] == 0.0
+
+    def test_keys_outside_groups_count_for_none(self):
+        """A key ≥ G belongs to no queried group and does not spill into
+        the next bin."""
+        bins = [(np.array([1.0, 2.0, 3.0]), np.array([0, 3, 7])), (np.array([5.0]), np.array([0]))]
+        self._assert_matches_plugin(bins, self.G)
+
+    def test_extra_arrays_ignored(self):
+        v, grps = np.array([1.0, 3.0]), np.array([1, 1])
+        a = group_estimates([(v, grps, np.array([10, 11]))], self.G)
+        b = group_estimates([(v, grps)], self.G)
+        np.testing.assert_array_equal(a.sigma_hat, b.sigma_hat)
 
 
 class TestCombine:

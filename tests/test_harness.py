@@ -55,6 +55,11 @@ class TestLocalTrials:
         with pytest.raises(ValueError):
             run_trials(None, kind="bogus", data=toy_strata, n_budget=10, n_trials=1)
 
+    @pytest.mark.parametrize("n_trials", [0, -1])
+    def test_no_trials_rejected(self, toy_strata, n_trials):
+        with pytest.raises(ValueError, match="n_trials"):
+            run_trials(None, kind="abae", data=toy_strata, n_budget=300, n_trials=n_trials)
+
 
 class TestLocalGroupTrials:
     @pytest.fixture(scope="class")
@@ -122,6 +127,33 @@ class TestDistributedTrials:
             n_groups=4, base_seed=11,
         )
         assert loc["estimate"].tolist() == dist["estimate"].tolist()
+
+    @staticmethod
+    def _jobs_in_group(spark, group, call):
+        """Spark jobs that ``call()`` runs, counted under job group ``group``."""
+        sc = spark.sparkContext
+        sc.setJobGroup(group, "harness test")
+        try:
+            call()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        return sc.statusTracker().getJobIdsForGroup(group)
+
+    def test_one_spark_job_per_call(self, spark, toy_strata):
+        """The seed range is built with its partitions, so a call runs no
+        separate shuffle job before the trials."""
+        jobs = self._jobs_in_group(spark, "test-harness-one-job", lambda: run_trials(
+            spark, kind="abae", data=toy_strata, n_budget=300, n_trials=8, base_seed=5
+        ))
+        assert len(jobs) == 1
+
+    @pytest.mark.parametrize("n_trials", [0, -1])
+    def test_no_trials_rejected_before_any_job(self, spark, toy_strata, n_trials):
+        def call():
+            with pytest.raises(ValueError, match="n_trials"):
+                run_trials(spark, kind="abae", data=toy_strata, n_budget=300, n_trials=n_trials)
+
+        assert self._jobs_in_group(spark, f"test-harness-no-trials{n_trials}", call) == []
 
     def test_spark_with_ci(self, spark, toy_strata):
         out = run_trials(
