@@ -34,16 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.allocation import mse_for_allocation, optimal_allocation
+from repro.core.allocation import optimal_allocation
 from repro.core.estimator import (
-    StratumEstimate,
     combine,
     group_estimates,
     plugin_estimates,
 )
 from repro.core.sampler import (
     check_pilot_budget,
-    pilot_allocation,
     prefix_draw,
     split_budget,
     stage2_extents,
@@ -97,22 +95,15 @@ class GroupTrialResult:
     allocation: np.ndarray
 
 
-def _err_coef(pilot: list[StratumEstimate], t: np.ndarray) -> float:
-    """Err(g): MSE × N for allocation t (the Eq. 10/11 inner sum), from
-    the per-stratum pilot estimates of group g.
-
-    Unsampleable configurations (t_k = 0 where the group lives) return
-    a large-but-finite coefficient so Nelder–Mead stays numeric.
-    """
-    p = np.array([e.p_hat for e in pilot])
-    sigma = np.array([e.sigma_hat for e in pilot])
-    return min(mse_for_allocation(p, sigma, t, 1), 1e12)
-
-
 def _err_coefs(p: np.ndarray, sigma: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """:func:`_err_coef` of every group at once, from per-stratum pilot
-    p̂ and σ̂ of shape (..., K, G) and t of shape (..., K); returns shape
-    (..., G)."""
+    """Err(g): MSE × N for allocation t (the Eq. 10/11 inner sum,
+    Σ_k w_k² σ_k² / (p_k t_k), Eq. 3), for every group at once from
+    per-stratum pilot p̂ and σ̂ of shape (..., K, G) and t of shape
+    (..., K); returns shape (..., G).
+
+    Unsampleable configurations (t_k = 0 where the group lives) get a
+    large-but-finite coefficient so Nelder–Mead stays numeric.
+    """
     p_all = p.sum(axis=-2, keepdims=True)
     w = np.divide(p, p_all, out=np.zeros_like(p), where=p_all > 0)
     num = w**2 * sigma**2
@@ -195,8 +186,12 @@ def groupby_multi_trial(
     g_n = data.n_groups
     draws, sizes, n1, drawn = _pilot(data, n_budget, rng, stage1_frac)
     pilots = [[plugin_estimates(v, grps == l) for v, grps, _ in drawn[l]] for l in range(g_n)]
-    t_hats = [pilot_allocation(p) for p in pilots]
-    coefs = np.array([_err_coef(pilots[l], t_hats[l]) for l in range(g_n)])
+    # p[l, k], sigma[l, k]: group l's pilot estimates in stratum k of
+    # its own stratification.
+    p = np.array([[e.p_hat for e in pilot] for pilot in pilots])
+    sigma = np.array([[e.sigma_hat for e in pilot] for pilot in pilots])
+    t_hats = np.array([optimal_allocation(p[l], sigma[l]) for l in range(g_n)])
+    coefs = _err_coefs(p[..., None], sigma[..., None], t_hats)[..., 0]
 
     calls = int(sum(n.sum() for n in n1))
     n2 = n_budget - calls
