@@ -1,16 +1,18 @@
 """End-to-end ABAE over a Spark DataFrame (single predicate).
 
 This is the query-processing path: the full table only ever flows
-through *cheap* Catalyst operators (a count, the proxy ``ntile``, a hash
-filter); the expensive oracle UDF touches **only sampled rows**, which
-is the entire point of the paper. After the one pass that stratifies
-the table, a query's work is O(N). The dataflow is:
+through *cheap* Catalyst operators (two aggregates, the stratum
+expression, a hash filter); the expensive oracle UDF touches **only
+sampled rows**, which is the entire point of the paper. Apart from the
+passes that stratify the table, a query's work is O(N). The dataflow
+is:
 
-1. ``count()`` gives |D| and with it the ntile strata sizes |D_k| on
-   the driver.
-2. ``add_stratum`` — exact proxy-quantile strata (Algorithm 1 Init), in
-   one pass over a narrow projection of the table.
-3. Each stratum's sampling order is ``(xxhash64(id, seed), id)``, a pure
+1. ``stratify_frame`` — exact proxy-quantile strata (Algorithm 1 Init).
+   Two parallel aggregates over a narrow projection of the table give
+   |D|, the ntile strata sizes |D_k|, and the K−1 (proxy, id) keys where
+   one stratum ends and the next begins; ``stratum`` is then an
+   expression over those keys, evaluated where the table is read.
+2. Each stratum's sampling order is ``(xxhash64(id, seed), id)``, a pure
    function of the row, so it is stable across stages and
    re-evaluations (unlike ``rand()``). A query draws at most
    m = N₁/K + N₂ rows from a stratum, so it keeps only the candidates
@@ -18,12 +20,15 @@ the table, a query's work is O(N). The dataflow is:
    the smallest stratum (a margin of about 6σ). The candidates are a
    prefix of each stratum's order, so ``row_number`` over them gives the
    same first m ranks as over the whole stratum. The same window pass
-   counts each stratum's candidates. The small candidate frame is
-   persisted, still in the single partition of the ``ntile`` output.
-4. Stage 1 labels ranks 1..N₁/K of each stratum and collects them
+   counts each stratum's candidates. The candidates are coalesced into
+   one partition before they are ranked, so the rank window needs no
+   shuffle and the oracle UDF runs in one task rather than in
+   ``spark.sql.shuffle.partitions`` of them, and the small candidate
+   frame is persisted.
+3. Stage 1 labels ranks 1..N₁/K of each stratum and collects them
    (≤ N₁ rows). The pilot p̂_k, σ̂_k come from those rows through the
    numpy estimator, then the allocation T̂ by Proposition 1.
-5. Stage 2 labels ranks (N₁/K, N₁/K + ⌊N₂·T̂_k⌋] — sampling without
+4. Stage 2 labels ranks (N₁/K, N₁/K + ⌊N₂·T̂_k⌋] — sampling without
    replacement with sample reuse — and the final per-stratum estimates,
    the combined answer and the optional bootstrap CI (Algorithm 2) come
    from the ≤ N collected rows.
@@ -52,7 +57,7 @@ from pyspark.sql.window import Window
 from repro.core.bootstrap import bootstrap_ci
 from repro.core.estimator import plugin_estimates
 from repro.core.sampler import abae_sample, split_budget
-from repro.core.stratify import add_stratum
+from repro.core.stratify import stratify_frame
 from repro.simulate.oracles import SimulatedOracle
 
 
@@ -90,9 +95,12 @@ def _hash_threshold(m: int, size: int) -> int | None:
 
 
 def _rank(stratified: DataFrame, id_col: str) -> DataFrame:
-    """Attach each row's 1-based rank in its stratum's (hash, id) order."""
+    """Attach each row's 1-based rank in its stratum's (hash, id) order,
+    in one partition: without the ``coalesce(1)`` the window shuffles
+    into ``spark.sql.shuffle.partitions`` tasks, and so does the oracle
+    UDF over its output."""
     w = Window.partitionBy("stratum").orderBy(F.col("_h"), F.col(id_col))
-    return stratified.withColumn("_rank", F.row_number().over(w))
+    return stratified.coalesce(1).withColumn("_rank", F.row_number().over(w))
 
 
 def _label(oracle: SimulatedOracle, ranked: DataFrame, lo: np.ndarray, hi: np.ndarray) -> DataFrame:
@@ -155,8 +163,8 @@ def abae_query(
     the two stages are ``core.sampler.abae_sample`` over the ranks.
 
     Raises:
-        ValueError: if ``n_budget`` is smaller than ``k``, or if ``df``
-            is empty.
+        ValueError: if ``n_budget`` is smaller than ``k``, if ``df``
+            is empty, or if its proxy column holds nulls.
         BudgetExceededError: before a stage whose rows exceed the
             oracle's remaining budget is labeled.
         RuntimeError: if the oracle metered other than one call per
@@ -164,14 +172,10 @@ def abae_query(
     """
     calls_before = oracle.calls
     n1_per, n2 = split_budget(n_budget, k, stage1_frac)
-    q, r = divmod(df.count(), k)
-    sizes = np.full(k, q, dtype=np.int64)
-    sizes[:r] += 1  # ntile's first |D| mod K tiles hold one row more
-
     cols = list(dict.fromkeys([id_col, proxy_col, value_col, oracle.label_col]))
-    stratified = add_stratum(df.select(*cols), k, proxy_col=proxy_col, id_col=id_col)
+    stratified, sizes = stratify_frame(df.select(*cols), k, proxy_col=proxy_col, id_col=id_col)
     stratified = stratified.withColumn("_h", F.xxhash64(F.col(id_col), F.lit(seed)))
-    threshold = _hash_threshold(n1_per + n2, q)
+    threshold = _hash_threshold(n1_per + n2, int(sizes[-1]))
     cands = stratified if threshold is None else stratified.filter(F.col("_h") < threshold)
     cands = _rank(cands, id_col)
     cands = cands.withColumn("_cands", F.count(F.lit(1)).over(Window.partitionBy("stratum")))

@@ -86,8 +86,10 @@ def _distribute(
 
     n_part = min(n_trials, max(2, spark.sparkContext.defaultParallelism))
     seeds = spark.range(base_seed, base_seed + n_trials, numPartitions=n_part)
-    out = seeds.mapInPandas(worker, schema=schema).toPandas()
-    bc.unpersist()
+    try:
+        out = seeds.mapInPandas(worker, schema=schema).toPandas()
+    finally:
+        bc.unpersist()
     # Stable, so the rows of one trial keep the order ``fn`` gave them.
     return out.sort_values("trial", kind="stable").reset_index(drop=True)
 

@@ -3,6 +3,8 @@ budget metering, correctness against the DuckDB oracle, and parity
 with the numpy kernel's statistics."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from pyspark.sql import Window
@@ -11,10 +13,12 @@ from pyspark.sql import functions as F
 from repro.core import abae
 from repro.core.abae import abae_query, uniform_query
 from repro.core.allocation import optimal_allocation, stage2_counts
+from repro.core.bootstrap import bootstrap_ci
 from repro.core.estimator import combine, plugin_estimates
 from repro.core.sampler import split_budget
 from repro.core.stratify import add_stratum
 from repro.oracle import assert_equivalent
+from repro.simulate import datasets as D
 from repro.simulate.oracles import BudgetExceededError, SimulatedOracle
 
 pytestmark = pytest.mark.spark
@@ -23,6 +27,16 @@ pytestmark = pytest.mark.spark
 @pytest.fixture(scope="module")
 def ns_df(spark, night_street):
     df = night_street.to_spark(spark).persist()
+    df.count()
+    yield df
+    df.unpersist()
+
+
+@pytest.fixture(scope="module")
+def ns_big_df(spark):
+    """night_street at 48,657 rows, large enough for bracketed strata
+    keys (a smaller frame collects its (proxy, id) pairs whole)."""
+    df = D.night_street(scale=0.05).to_spark(spark).persist()
     df.count()
     yield df
     df.unpersist()
@@ -108,13 +122,27 @@ class TestAbaeQuery:
         assert oracle.calls == (0 if budget < 500 else 500)
         assert oracle.calls <= budget
 
+    def test_null_proxy_rejected(self, ns_df):
+        """Spark orders null proxies first, DuckDB and the numpy strata
+        last: rejected before any call."""
+        oracle = SimulatedOracle("label")
+        nulled = ns_df.withColumn("proxy", F.when(F.col("id") != 17, F.col("proxy")))
+        with pytest.raises(ValueError, match="null"):
+            abae_query(nulled, n_budget=500, oracle=oracle, seed=1)
+        assert oracle.calls == 0
+
 
 def _reference_abae(df, n_budget, k, seed):
     """The unfiltered query: ntile strata, a rank window over every row
     of each stratum, and the two stages as prefixes of that ranking."""
+    return _reference_sample(add_stratum(df, k), n_budget, k, seed)
+
+
+def _reference_sample(stratified, n_budget, k, seed):
+    """:func:`_reference_abae` on a frame that already has its strata."""
     w = Window.partitionBy("stratum").orderBy(F.xxhash64(F.col("id"), F.lit(seed)), F.col("id"))
     ranked = (
-        add_stratum(df, k)
+        stratified
         .withColumn("_rank", F.row_number().over(w))
         .select("stratum", "_rank", "value", "label")
         .toPandas()
@@ -196,6 +224,46 @@ class TestSampleIdentity:
         np.testing.assert_array_equal(l, ref["label"].to_numpy())
         assert res.estimate == plugin_estimates(ref["value"], ref["label"]).mu_hat
         assert res.oracle_calls == oracle.calls == 700
+
+
+class TestWindowStrataIdentity:
+    """``abae_query`` against a reference whose strata come from the
+    ``ntile`` window itself, not from ``add_stratum``, on a frame large
+    enough for the bracketed keys."""
+
+    @pytest.mark.parametrize("n_budget", [2000, 8000])
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_matches_ntile_window(self, ns_big_df, n_budget, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no ntile fallback
+            res = abae_query(
+                ns_big_df, n_budget=n_budget, oracle=SimulatedOracle("label"), seed=seed,
+                n_boot=200,
+            )
+        stratum = F.ntile(5).over(Window.orderBy("proxy", "id")) - 1
+        ref = _reference_sample(ns_big_df.withColumn("stratum", stratum), n_budget, 5, seed)
+        _assert_same_sample(res, ref)
+        assert res.ci == bootstrap_ci(ref, np.random.default_rng(seed + 7), n_boot=200)
+
+    def test_no_stage_runs_shuffle_partitions_tasks(self, spark, ns_big_df):
+        """The rank window runs on coalesced candidates: a shuffle into
+        ``spark.sql.shuffle.partitions`` tasks would run the oracle UDF
+        in as many."""
+        sc = spark.sparkContext
+        group = "test-abae-query-tasks"
+        sc.setJobGroup(group, "abae_query")
+        try:
+            abae_query(ns_big_df, n_budget=2000, oracle=SimulatedOracle("label"), seed=1)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        tracker = sc.statusTracker()
+        tasks = [
+            tracker.getStageInfo(stage).numTasks
+            for job in tracker.getJobIdsForGroup(group)
+            for stage in tracker.getJobInfo(job).stageIds
+        ]
+        assert tasks
+        assert int(spark.conf.get("spark.sql.shuffle.partitions")) not in tasks
 
 
 @pytest.mark.parametrize("query", [abae_query, uniform_query])

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from pyspark.errors import PythonException
 
 from repro.core.groupby import build_groupby_data
+from repro.experiments import harness
 from repro.experiments.harness import estimates_matrix, run_group_trials, run_trials
 from repro.simulate import datasets as D
 
@@ -161,3 +163,31 @@ class TestDistributedTrials:
             with_ci=True, n_boot=100,
         )
         assert (out["lo"] <= out["hi"]).all()
+
+    def test_failed_call_unpersists_its_broadcast(self, spark, monkeypatch):
+        """A trial that raises fails the call, and its payload broadcast
+        is still released."""
+        sc = spark.sparkContext
+        made, released = [], []
+        broadcast = sc.broadcast
+
+        def recording_broadcast(value):
+            bc = broadcast(value)
+            unpersist = bc.unpersist
+
+            def recording_unpersist(*args, **kwargs):
+                released.append(bc)
+                return unpersist(*args, **kwargs)
+
+            bc.unpersist = recording_unpersist
+            made.append(bc)
+            return bc
+
+        def fail(payload, seed):
+            raise ValueError(f"trial {seed} failed")
+
+        monkeypatch.setattr(sc, "broadcast", recording_broadcast)
+        with pytest.raises(PythonException, match="failed"):
+            harness._distribute(spark, fail, np.arange(10), 4, 0, "trial long, x double")
+        assert len(made) == 1
+        assert released == made

@@ -2,13 +2,17 @@
 ntile parity via the correctness oracle."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pyspark.sql import Window
 from pyspark.sql import functions as F
 
+from repro.core import stratify
 from repro.core.stratify import add_stratum, strata_arrays, stratify_indices
 from repro.oracle import assert_equivalent
 
@@ -127,3 +131,81 @@ class TestSparkStratification:
             """,
             t=pdf,
         )
+
+
+def _proxies(case: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if case == "heavy-ties":
+        return rng.integers(0, 3, n) / 2.0
+    if case == "boundary-ties":
+        return np.round(rng.random(n), 2)
+    if case == "boundary-ties-4dp":
+        return np.round(rng.random(n), 4)
+    return rng.random(n)
+
+
+@pytest.mark.spark
+class TestSparkStratificationEdgeCases:
+    """``add_stratum`` equals DuckDB's ``ntile`` on ties, NaN, tiny and
+    many-partition frames. Frames of 30,000 rows are large enough for
+    the bracketed keys; smaller ones collect their (proxy, id) pairs
+    whole. Only heavy ties on a large frame take the ntile window."""
+
+    @pytest.mark.parametrize(
+        "case,n,k,parts,fallback",
+        [
+            ("continuous", 30_000, 5, 4, False),
+            ("heavy-ties", 600, 5, 4, False),
+            ("heavy-ties", 30_000, 5, 4, True),
+            ("boundary-ties", 3_000, 5, 4, False),
+            ("boundary-ties-4dp", 30_000, 5, 4, False),
+            ("nan", 30_000, 5, 4, False),
+            ("nan", 500, 5, 4, False),
+            ("continuous", 3, 5, 2, False),
+            ("continuous", 5, 5, 2, False),
+            ("continuous", 30_000, 6, 7, False),
+        ],
+        ids=[
+            "continuous", "heavy-ties-small", "heavy-ties", "boundary-ties",
+            "boundary-ties-4dp", "nan", "nan-small", "n<k", "n==k", "7-partitions",
+        ],
+    )
+    def test_duckdb_ntile_parity(self, spark, case, n, k, parts, fallback):
+        rng = np.random.default_rng(n + k)
+        ids = rng.permutation(n).astype(np.int64)
+        pdf = pd.DataFrame({"id": ids, "proxy": _proxies(case, n, rng)})
+        df = spark.createDataFrame(pdf).repartition(parts)
+        if case == "nan":
+            nan = F.when(F.col("id") % 2_999 == 7, F.lit(float("nan")))
+            df = df.withColumn("proxy", nan.otherwise(F.col("proxy")))
+            assert df.filter(F.isnan("proxy")).count() > 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            out = add_stratum(df, k).select("id", "stratum")
+        assert sum(w.category is RuntimeWarning for w in caught) == fallback
+        assert_equivalent(
+            out,
+            f"SELECT id, ntile({k}) OVER (ORDER BY proxy, id) - 1 AS stratum FROM t",
+            t=df,
+        )
+
+    def test_missed_bracket_falls_back(self, spark, monkeypatch):
+        """A bracket that misses its key (here inverted, so its band is
+        empty) is caught: a warning, and the strata of the ntile window."""
+        rng = np.random.default_rng(3)
+        n = 30_000
+        df = spark.createDataFrame(pd.DataFrame({"id": np.arange(n), "proxy": rng.random(n)}))
+        monkeypatch.setattr(stratify, "_DELTA", -0.01)
+        with pytest.warns(RuntimeWarning, match="outside its bracket"):
+            got = add_stratum(df, 5).select("id", "stratum").toPandas()
+        w = Window.orderBy("proxy", "id")
+        ref = df.select("id", (F.ntile(5).over(w) - 1).alias("stratum")).toPandas()
+
+        def by_id(frame):
+            return frame.sort_values("id").reset_index(drop=True)
+
+        pd.testing.assert_frame_equal(by_id(got), by_id(ref))
+
+    def test_null_proxy_rejected(self, spark):
+        df = spark.range(100).select("id", F.when(F.col("id") != 40, F.rand(1)).alias("proxy"))
+        with pytest.raises(ValueError, match="null"):
+            add_stratum(df, 5)
