@@ -15,9 +15,6 @@ import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
-BENCH_SCALE = 0.1
-BENCH_TRIALS = 100
-
 
 @pytest.fixture(scope="session")
 def save_table():
@@ -38,9 +35,9 @@ _RENDERED_TABLES: list[tuple[str, str]] = []
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Emit every reproduced table into the terminal report (and thus
-    into bench_output.txt) — pytest's fd-level capture would otherwise
-    swallow prints from inside the benchmarks."""
+    """Emit every reproduced table into the terminal report — pytest's
+    fd-level capture would otherwise swallow prints from inside the
+    benchmarks."""
     if not _RENDERED_TABLES:
         return
     terminalreporter.section("reproduced evaluation tables")

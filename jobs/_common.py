@@ -1,10 +1,10 @@
-"""Shared plumbing for the per-table spark-submit entrypoints.
+"""Shared plumbing for the spark-submit entry point ``run_table.py``.
 
-Each job script wraps one ``repro.experiments.tables.table_*`` function:
-it builds (or reuses) a SparkSession, runs the experiment at CLI-chosen
-scale/trials, and prints the table the paper's figure plots. Run e.g.::
+It builds (or reuses) a SparkSession, runs one evaluation table at
+CLI-chosen scale/trials, and prints the rows the paper's figure plots.
+Run e.g.::
 
-    spark-submit jobs/fig2_budget_vs_rmse.py --scale 0.1 --trials 200
+    spark-submit jobs/run_table.py fig2_rmse --scale 0.1 --trials 200
 """
 from __future__ import annotations
 
@@ -24,12 +24,14 @@ def build_session(app: str) -> SparkSession:
     )
 
 
-def job_args(description: str, **extra_defaults) -> argparse.Namespace:
-    """Common CLI: --scale (dataset scale factor) and --trials."""
+def job_args(description: str, tables) -> argparse.Namespace:
+    """The CLI: the table to run (one of ``tables``), --scale (dataset
+    scale factor), --trials and --seed."""
     p = argparse.ArgumentParser(description=description)
-    p.add_argument("--scale", type=float, default=extra_defaults.pop("scale", 0.1))
-    p.add_argument("--trials", type=int, default=extra_defaults.pop("trials", 200))
-    p.add_argument("--seed", type=int, default=extra_defaults.pop("seed", 0))
+    p.add_argument("table", choices=sorted(tables))
+    p.add_argument("--scale", type=float, default=0.1)
+    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
     return p.parse_args()
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.allocation import optimal_mse
 from repro.core.estimator import plugin_estimates
-from repro.core.sampler import abae_stage2
+from repro.core.sampler import TrialResult, abae_stage2
 from repro.core.stratify import stratify_indices
 from repro.optimize.logistic import LogisticModel, fit_logistic
 
@@ -118,7 +118,7 @@ def combined_proxy_trial(
     *,
     k: int = 5,
     pilot_frac: float = 0.5,
-) -> float:
+) -> TrialResult:
     """One Fig.-12 trial: ABAE with a logistic proxy combination.
 
     The pilot doubles as Stage 1 (§3.4: the combination is trained on
@@ -129,7 +129,8 @@ def combined_proxy_trial(
     budget is allocated by √p̂σ̂ as usual. Total oracle spend ≤ N.
 
     Returns:
-        The trial's estimate μ̂_all.
+        The trial's estimate μ̂_all, oracle calls and samples (pilot
+        records included, as Stage 1).
 
     Raises:
         ValueError: if the pilot (at least 50 records) exceeds N.
@@ -163,4 +164,4 @@ def combined_proxy_trial(
         return out
 
     sizes = np.bincount(stratum, minlength=k)
-    return abae_stage2(stage1, sizes, n_budget - m, draw).estimate
+    return abae_stage2(stage1, sizes, n_budget - m, draw)

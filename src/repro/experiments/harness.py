@@ -29,9 +29,10 @@ from repro.core.groupby import (
     groupby_single_trial,
     groupby_uniform_trial,
 )
+from repro.core.proxy_select import combined_proxy_trial
 from repro.core.sampler import abae_trial, uniform_trial
 
-SCALAR_KINDS = ("abae", "abae_noreuse", "uniform")
+SCALAR_KINDS = ("abae", "abae_noreuse", "uniform", "abae_combined")
 GROUP_KINDS = ("groupby_single", "groupby_multi", "uniform_single", "uniform_multi")
 
 
@@ -43,6 +44,9 @@ def _scalar_trial(kind: str, data: Any, n_budget: int, rng, stage1_frac: float):
     if kind == "uniform":
         values, labels = data
         return uniform_trial(values, labels, n_budget, rng)
+    if kind == "abae_combined":
+        scores, values, labels = data
+        return combined_proxy_trial(scores, values, labels, n_budget, rng, pilot_frac=stage1_frac)
     raise ValueError(f"unknown scalar trial kind: {kind}")
 
 
@@ -111,9 +115,11 @@ def run_trials(
 
     Args:
         spark: session for distributed execution, or None for local.
-        kind: "abae" | "abae_noreuse" | "uniform".
-        data: per-stratum arrays for ABAE kinds, (values, labels) for
-            uniform.
+        kind: "abae" | "abae_noreuse" | "uniform" | "abae_combined"
+            (ABAE over a logistic merge of several proxies, Fig. 12).
+        data: per-stratum arrays for "abae" and "abae_noreuse",
+            (values, labels) for uniform, and ({proxy: scores}, values,
+            labels) for "abae_combined".
         n_budget: oracle budget per trial.
         n_trials: number of Monte-Carlo repetitions.
         base_seed: trial i uses seed ``base_seed + i``.

@@ -2,25 +2,28 @@
 
 Each ``table_*`` function reproduces the numbers behind one evaluation
 figure/table of the paper (see DESIGN.md §4 for the index) and returns
-a tidy pandas DataFrame whose rows are what the paper plots. Jobs under
-``jobs/`` print these; EXPERIMENTS.md records paper-vs-measured.
+a tidy pandas DataFrame whose rows are what the paper plots.
+``jobs/run_table.py`` prints these; EXPERIMENTS.md records
+paper-vs-measured.
 
-All functions take the SparkSession first (trials are distributed via
-``experiments.harness``) plus knobs for scale / budgets / trial count,
-defaulting to bench-friendly values (paper: scale=1, 1000 trials).
+Every figure is a sweep of conditions: (dataset, budget, method) for
+Figs. 2–9 and 12 (:func:`_sweep`), (dataset, K or C) for Figs. 10–11
+(:func:`_sensitivity`). Each condition is one :func:`_condition` call,
+``n_trials`` seeded trials on the Spark harness, which the table
+reduces to a metric. All functions take the SparkSession first (trials
+are distributed via ``experiments.harness``) plus knobs for scale /
+budgets / trial count, defaulting to bench-friendly values (paper:
+scale=1, 1000 trials); K and C are the paper's defaults.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.groupby import build_groupby_data
-from repro.core.sampler import abae_trial
-from repro.core.stratify import strata_arrays
 from repro.experiments import metrics as M
 from repro.experiments.harness import (
-    _distribute,
+    GROUP_KINDS,
     estimates_matrix,
     run_group_trials,
     run_trials,
@@ -29,6 +32,8 @@ from repro.simulate import datasets as D
 
 DEFAULT_BUDGETS = (2000, 4000, 6000, 8000, 10000)
 LOW_BUDGETS = (500, 750, 1000)
+K = 5  # strata per query (§5 default)
+C = 0.5  # Stage-1 share of the budget (§5 default)
 
 
 def _cond_seed(*parts) -> int:
@@ -64,45 +69,71 @@ def _scaled_budgets(budgets, scale: float) -> list[int]:
     return out
 
 
-def _sweep(
-    spark,
-    names,
-    budgets,
-    methods,
-    *,
-    scale,
-    n_trials,
-    k,
-    c,
-    seed,
-    with_ci=False,
-    n_boot=500,
-):
-    """Shared budget×dataset×method sweep; returns per-condition trial
-    frames plus ground truths."""
-    out = {}
-    truths = {}
-    for name in names:
-        ds = D.load(name, scale=scale)
-        truths[name] = ds.ground_truth()
-        strata = ds.strata(k)
-        pop = ds.population()
+def _condition(
+    spark, parts, kind, data, n_budget, *, n_trials, seed, stage1_frac=C, n_groups=0, **kw
+) -> pd.DataFrame:
+    """One condition: ``n_trials`` trials of harness ``kind``, trial i
+    seeded ``seed + _cond_seed(*parts) + i``. Group-by kinds report
+    ``n_groups`` estimates per trial; ``kw`` (``with_ci``, ``n_boot``)
+    goes to the scalar kinds."""
+    base_seed = seed + _cond_seed(*parts)
+    if kind in GROUP_KINDS:
+        return run_group_trials(
+            spark, kind=kind, data=data, n_budget=n_budget, n_trials=n_trials,
+            n_groups=n_groups, base_seed=base_seed, stage1_frac=stage1_frac,
+        )
+    return run_trials(
+        spark, kind=kind, data=data, n_budget=n_budget, n_trials=n_trials,
+        base_seed=base_seed, stage1_frac=stage1_frac, **kw,
+    )
+
+
+def _sweep(spark, sets, budgets, methods, *, n_trials, seed, **kw):
+    """Run every method at every budget on every dataset.
+
+    ``sets`` yields (name, Dataset) pairs; ``methods`` maps a label to
+    (harness kind, builder of the kind's input from the Dataset).
+    Condition (name, budget, label) is seeded by those three parts and
+    spends the budget, per group on a group-by set (Figs. 7–8 normalize
+    by G), clamped by :func:`_effective_budget`.
+
+    Yields:
+        (name, dataset, budget, spent budget, {label: trial frame}) per
+        dataset and budget.
+    """
+    for name, ds in sets:
+        inputs = {label: build(ds) for label, (_, build) in methods.items()}
         for budget in budgets:
-            eb = _effective_budget(len(ds.pdf), budget)
-            for method in methods:
-                data = strata if method.startswith("abae") else pop
-                out[(name, budget, method)] = run_trials(
-                    spark,
-                    kind=method,
-                    data=data,
-                    n_budget=eb,
-                    n_trials=n_trials,
-                    base_seed=seed + _cond_seed(name, budget, method),
-                    stage1_frac=c,
-                    with_ci=with_ci,
-                    n_boot=n_boot,
+            n = _effective_budget(len(ds.pdf), budget * (ds.n_groups or 1))
+            yield name, ds, budget, n, {
+                label: _condition(
+                    spark, (name, budget, label), kind, inputs[label], n,
+                    n_trials=n_trials, seed=seed, n_groups=ds.n_groups, **kw,
                 )
-    return out, truths
+                for label, (kind, _) in methods.items()
+            }
+
+
+def _real(datasets, scale):
+    """The named Table-2 surrogates, each loaded when the sweep reaches it."""
+    return ((name, D.load(name, scale=scale)) for name in datasets)
+
+
+def _rmse(trials: pd.DataFrame, truth: float) -> float:
+    return M.rmse(trials["estimate"], truth)
+
+
+def _gain(baseline: float, ours: float) -> float:
+    return baseline / ours if ours > 0 else float("inf")
+
+
+def _strata(ds: D.Dataset):
+    return ds.strata(K)
+
+
+_UNIFORM = ("uniform", D.Dataset.population)
+_ABAE = ("abae", _strata)
+_UNIFORM_VS_ABAE = {"uniform": _UNIFORM, "abae": _ABAE}
 
 
 def table_fig2(
@@ -112,32 +143,27 @@ def table_fig2(
     budgets=DEFAULT_BUDGETS,
     scale: float = 0.1,
     n_trials: int = 200,
-    k: int = 5,
-    c: float = 0.5,
     seed: int = 0,
 ) -> pd.DataFrame:
     """Fig. 2: sampling budget vs RMSE, ABAE vs uniform, six datasets."""
-    budgets = _scaled_budgets(budgets, scale)
-    trials, truths = _sweep(
-        spark, datasets, budgets, ("uniform", "abae"),
-        scale=scale, n_trials=n_trials, k=k, c=c, seed=seed,
-    )
     rows = []
-    for name in datasets:
-        for budget in budgets:
-            r_uni = M.rmse(trials[(name, budget, "uniform")]["estimate"], truths[name])
-            r_abae = M.rmse(trials[(name, budget, "abae")]["estimate"], truths[name])
-            rows.append(
-                {
-                    "table": "fig2",
-                    "dataset": name,
-                    "budget": budget,
-                    "rmse_uniform": r_uni,
-                    "rmse_abae": r_abae,
-                    "improvement": r_uni / r_abae if r_abae > 0 else float("inf"),
-                    "truth": truths[name],
-                }
-            )
+    for name, ds, budget, _, t in _sweep(
+        spark, _real(datasets, scale), _scaled_budgets(budgets, scale), _UNIFORM_VS_ABAE,
+        n_trials=n_trials, seed=seed,
+    ):
+        truth = ds.ground_truth()
+        r_uni, r_abae = _rmse(t["uniform"], truth), _rmse(t["abae"], truth)
+        rows.append(
+            {
+                "table": "fig2",
+                "dataset": name,
+                "budget": budget,
+                "rmse_uniform": r_uni,
+                "rmse_abae": r_abae,
+                "improvement": _gain(r_uni, r_abae),
+                "truth": truth,
+            }
+        )
     return pd.DataFrame(rows)
 
 
@@ -155,33 +181,28 @@ def table_fig4(
     budgets=DEFAULT_BUDGETS,
     scale: float = 0.1,
     n_trials: int = 200,
-    k: int = 5,
-    c: float = 0.5,
     seed: int = 0,
 ) -> pd.DataFrame:
     """Fig. 4: budget vs normalized Q-error (plus relative error —
     the text reports 14–70% and 13–76% gains)."""
-    budgets = _scaled_budgets(budgets, scale)
-    trials, truths = _sweep(
-        spark, datasets, budgets, ("uniform", "abae"),
-        scale=scale, n_trials=n_trials, k=k, c=c, seed=seed,
-    )
     rows = []
-    for name in datasets:
-        for budget in budgets:
-            e_uni = trials[(name, budget, "uniform")]["estimate"]
-            e_abae = trials[(name, budget, "abae")]["estimate"]
-            rows.append(
-                {
-                    "table": "fig4",
-                    "dataset": name,
-                    "budget": budget,
-                    "qerror_uniform": M.normalized_qerror(e_uni, truths[name]),
-                    "qerror_abae": M.normalized_qerror(e_abae, truths[name]),
-                    "relerr_uniform": M.relative_error(e_uni, truths[name]),
-                    "relerr_abae": M.relative_error(e_abae, truths[name]),
-                }
-            )
+    for name, ds, budget, _, t in _sweep(
+        spark, _real(datasets, scale), _scaled_budgets(budgets, scale), _UNIFORM_VS_ABAE,
+        n_trials=n_trials, seed=seed,
+    ):
+        truth = ds.ground_truth()
+        e_uni, e_abae = t["uniform"]["estimate"], t["abae"]["estimate"]
+        rows.append(
+            {
+                "table": "fig4",
+                "dataset": name,
+                "budget": budget,
+                "qerror_uniform": M.normalized_qerror(e_uni, truth),
+                "qerror_abae": M.normalized_qerror(e_abae, truth),
+                "relerr_uniform": M.relative_error(e_uni, truth),
+                "relerr_abae": M.relative_error(e_abae, truth),
+            }
+        )
     return pd.DataFrame(rows)
 
 
@@ -192,34 +213,28 @@ def table_fig5(
     budgets=DEFAULT_BUDGETS,
     scale: float = 0.1,
     n_trials: int = 100,
-    k: int = 5,
-    c: float = 0.5,
     n_boot: int = 500,
     seed: int = 0,
 ) -> pd.DataFrame:
     """Fig. 5: budget vs bootstrap CI width (α=0.05) + coverage."""
-    budgets = _scaled_budgets(budgets, scale)
-    trials, truths = _sweep(
-        spark, datasets, budgets, ("uniform", "abae"),
-        scale=scale, n_trials=n_trials, k=k, c=c, seed=seed,
-        with_ci=True, n_boot=n_boot,
-    )
     rows = []
-    for name in datasets:
-        for budget in budgets:
-            t_uni = trials[(name, budget, "uniform")]
-            t_abae = trials[(name, budget, "abae")]
-            rows.append(
-                {
-                    "table": "fig5",
-                    "dataset": name,
-                    "budget": budget,
-                    "ci_width_uniform": M.ci_width(t_uni["lo"], t_uni["hi"]),
-                    "ci_width_abae": M.ci_width(t_abae["lo"], t_abae["hi"]),
-                    "coverage_uniform": M.ci_coverage(t_uni["lo"], t_uni["hi"], truths[name]),
-                    "coverage_abae": M.ci_coverage(t_abae["lo"], t_abae["hi"], truths[name]),
-                }
-            )
+    for name, ds, budget, _, t in _sweep(
+        spark, _real(datasets, scale), _scaled_budgets(budgets, scale), _UNIFORM_VS_ABAE,
+        n_trials=n_trials, seed=seed, with_ci=True, n_boot=n_boot,
+    ):
+        truth = ds.ground_truth()
+        t_uni, t_abae = t["uniform"], t["abae"]
+        rows.append(
+            {
+                "table": "fig5",
+                "dataset": name,
+                "budget": budget,
+                "ci_width_uniform": M.ci_width(t_uni["lo"], t_uni["hi"]),
+                "ci_width_abae": M.ci_width(t_abae["lo"], t_abae["hi"]),
+                "coverage_uniform": M.ci_coverage(t_uni["lo"], t_uni["hi"], truth),
+                "coverage_abae": M.ci_coverage(t_abae["lo"], t_abae["hi"], truth),
+            }
+        )
     return pd.DataFrame(rows)
 
 
@@ -229,83 +244,63 @@ def table_fig6(
     budgets=DEFAULT_BUDGETS,
     scale: float = 0.1,
     n_trials: int = 200,
-    k: int = 5,
-    c: float = 0.5,
     seed: int = 0,
 ) -> pd.DataFrame:
     """Fig. 6: multi-predicate queries (night-street cars ∧ red-light,
     joint p≈0.17, and the synthetic 5-strata/2-predicate set).
     ABAE-MultiPred stratifies by the ∧-combined score (product)."""
-    budgets = _scaled_budgets(budgets, scale)
     sets = {
         "night_street_multipred": D.night_street_multipred(scale=scale),
         "synthetic_multipred": D.synthetic_multipred(n=max(5000, int(50_000 * scale * 10))),
     }
+    methods = {
+        "uniform": _UNIFORM,
+        "abae_single_proxy": ("abae", lambda ds: ds.strata(K, proxy_col="proxy_0")),
+        "abae_multipred": _ABAE,  # the combined score
+    }
     rows = []
-    for name, ds in sets.items():
+    for name, ds, budget, _, t in _sweep(
+        spark, sets.items(), _scaled_budgets(budgets, scale), methods,
+        n_trials=n_trials, seed=seed,
+    ):
         truth = ds.ground_truth()
-        pop = ds.population()
-        strata_multi = ds.strata(k, proxy_col="proxy")       # combined score
-        strata_single = ds.strata(k, proxy_col="proxy_0")    # one predicate's proxy
-        for budget in budgets:
-            eb = _effective_budget(len(ds.pdf), budget)
-            e = {}
-            for label, kind, data in (
-                ("uniform", "uniform", pop),
-                ("abae_single_proxy", "abae", strata_single),
-                ("abae_multipred", "abae", strata_multi),
-            ):
-                t = run_trials(
-                    spark, kind=kind, data=data, n_budget=eb, n_trials=n_trials,
-                    base_seed=seed + _cond_seed(name, budget, label),
-                    stage1_frac=c,
-                )
-                e[label] = M.rmse(t["estimate"], truth)
-            rows.append(
-                {
-                    "table": "fig6", "dataset": name, "budget": budget,
-                    "rmse_uniform": e["uniform"],
-                    "rmse_abae_single_proxy": e["abae_single_proxy"],
-                    "rmse_abae_multipred": e["abae_multipred"],
-                    "improvement": (
-                        e["uniform"] / e["abae_multipred"]
-                        if e["abae_multipred"] > 0 else float("inf")
-                    ),
-                }
-            )
+        e = {label: _rmse(trials, truth) for label, trials in t.items()}
+        rows.append(
+            {
+                "table": "fig6", "dataset": name, "budget": budget,
+                "rmse_uniform": e["uniform"],
+                "rmse_abae_single_proxy": e["abae_single_proxy"],
+                "rmse_abae_multipred": e["abae_multipred"],
+                "improvement": _gain(e["uniform"], e["abae_multipred"]),
+            }
+        )
     return pd.DataFrame(rows)
 
 
-def _groupby_table(
-    spark, table, sets, kind_abae, kind_uniform, norm_budgets, n_trials, k, c, seed
-):
+def _groupby_table(spark, table, sets, kind_abae, kind_uniform, norm_budgets, n_trials, seed):
+    """Figs. 7–8: max RMSE over groups of ABAE-GroupBy ("a") and uniform
+    sampling ("u") per normalized budget."""
+    methods = {
+        "a": (kind_abae, lambda ds: build_groupby_data(ds.pdf, list(ds.proxy_cols), K)),
+        "u": (
+            kind_uniform,
+            lambda ds: (ds.pdf["value"].to_numpy(float), ds.pdf["group"].to_numpy()),
+        ),
+    }
     rows = []
-    for name, ds in sets.items():
+    for name, ds, nb, _, t in _sweep(
+        spark, sets.items(), norm_budgets, methods, n_trials=n_trials, seed=seed
+    ):
         truths = ds.group_truths()
-        data = build_groupby_data(ds.pdf, list(ds.proxy_cols), k)
-        pop = (ds.pdf["value"].to_numpy(float), ds.pdf["group"].to_numpy())
-        for nb in norm_budgets:
-            total = nb * ds.n_groups
-            total = _effective_budget(len(ds.pdf), total)
-            t_abae = run_group_trials(
-                spark, kind=kind_abae, data=data, n_budget=total,
-                n_trials=n_trials, n_groups=ds.n_groups,
-                base_seed=seed + _cond_seed(name, nb, "a"), stage1_frac=c,
-            )
-            t_uni = run_group_trials(
-                spark, kind=kind_uniform, data=pop, n_budget=total,
-                n_trials=n_trials, n_groups=ds.n_groups,
-                base_seed=seed + _cond_seed(name, nb, "u"),
-            )
-            m_abae = M.max_group_rmse(estimates_matrix(t_abae, ds.n_groups), truths)
-            m_uni = M.max_group_rmse(estimates_matrix(t_uni, ds.n_groups), truths)
-            rows.append(
-                {
-                    "table": table, "dataset": name, "normalized_budget": nb,
-                    "max_rmse_uniform": m_uni, "max_rmse_abae": m_abae,
-                    "improvement": m_uni / m_abae if m_abae > 0 else float("inf"),
-                }
-            )
+        m_abae = M.max_group_rmse(estimates_matrix(t["a"], ds.n_groups), truths)
+        m_uni = M.max_group_rmse(estimates_matrix(t["u"], ds.n_groups), truths)
+        rows.append(
+            {
+                "table": table, "dataset": name, "normalized_budget": nb,
+                "max_rmse_uniform": m_uni, "max_rmse_abae": m_abae,
+                "improvement": _gain(m_uni, m_abae),
+            }
+        )
     return pd.DataFrame(rows)
 
 
@@ -315,8 +310,6 @@ def table_fig7(
     norm_budgets=(500, 1000, 1500, 2000),
     scale: float = 0.1,
     n_trials: int = 100,
-    k: int = 5,
-    c: float = 0.5,
     seed: int = 0,
 ) -> pd.DataFrame:
     """Fig. 7: group-by with a single group-key oracle; max RMSE over
@@ -328,8 +321,7 @@ def table_fig7(
         ),
     }
     return _groupby_table(
-        spark, "fig7", sets, "groupby_single", "uniform_single", norm_budgets,
-        n_trials, k, c, seed,
+        spark, "fig7", sets, "groupby_single", "uniform_single", norm_budgets, n_trials, seed
     )
 
 
@@ -339,8 +331,6 @@ def table_fig8(
     norm_budgets=(500, 1000, 1500, 2000),
     scale: float = 0.1,
     n_trials: int = 100,
-    k: int = 5,
-    c: float = 0.5,
     seed: int = 0,
 ) -> pd.DataFrame:
     """Fig. 8: group-by with one oracle per group."""
@@ -351,8 +341,7 @@ def table_fig8(
         ),
     }
     return _groupby_table(
-        spark, "fig8", sets, "groupby_multi", "uniform_multi", norm_budgets,
-        n_trials, k, c, seed,
+        spark, "fig8", sets, "groupby_multi", "uniform_multi", norm_budgets, n_trials, seed
     )
 
 
@@ -363,23 +352,18 @@ def table_fig9(
     budget: int = 10_000,
     scale: float = 0.1,
     n_trials: int = 200,
-    k: int = 5,
-    c: float = 0.5,
     seed: int = 0,
 ) -> pd.DataFrame:
     """Fig. 9: lesion — full ABAE vs ABAE w/o sample reuse vs uniform,
     N=10,000."""
-    (budget,) = _scaled_budgets((budget,), scale)
-    trials, truths = _sweep(
-        spark, datasets, (budget,), ("abae", "abae_noreuse", "uniform"),
-        scale=scale, n_trials=n_trials, k=k, c=c, seed=seed,
-    )
+    methods = {"abae": _ABAE, "abae_noreuse": ("abae_noreuse", _strata), "uniform": _UNIFORM}
     rows = []
-    for name in datasets:
-        r = {
-            m: M.rmse(trials[(name, budget, m)]["estimate"], truths[name])
-            for m in ("abae", "abae_noreuse", "uniform")
-        }
+    for name, ds, budget, _, t in _sweep(
+        spark, _real(datasets, scale), _scaled_budgets((budget,), scale), methods,
+        n_trials=n_trials, seed=seed,
+    ):
+        truth = ds.ground_truth()
+        r = {m: _rmse(trials, truth) for m, trials in t.items()}
         rows.append(
             {
                 "table": "fig9", "dataset": name, "budget": budget,
@@ -387,6 +371,34 @@ def table_fig9(
                 "rmse_uniform": r["uniform"],
             }
         )
+    return pd.DataFrame(rows)
+
+
+def _sensitivity(spark, table, knob, values, *, datasets, budget, scale, n_trials, seed):
+    """Figs. 10–11: ABAE's RMSE at one budget as the number of strata
+    (``knob`` "k") or the Stage-1 fraction ("c") takes each of
+    ``values``, against uniform sampling. The baseline is condition
+    (name, "u"); ABAE at value v is condition (name, v)."""
+    (budget,) = _scaled_budgets((budget,), scale)
+    rows = []
+    for name, ds in _real(datasets, scale):
+        truth = ds.ground_truth()
+        n = _effective_budget(len(ds.pdf), budget)
+        r_uni = _rmse(_condition(
+            spark, (name, "u"), "uniform", ds.population(), n, n_trials=n_trials, seed=seed
+        ), truth)
+        strata = ds.strata(K)
+        for v in values:
+            t = _condition(
+                spark, (name, v), "abae", ds.strata(v) if knob == "k" else strata, n,
+                n_trials=n_trials, seed=seed, stage1_frac=v if knob == "c" else C,
+            )
+            rows.append(
+                {
+                    "table": table, "dataset": name, knob: v, "budget": n,
+                    "rmse_abae": _rmse(t, truth), "rmse_uniform": r_uni,
+                }
+            )
     return pd.DataFrame(rows)
 
 
@@ -398,35 +410,13 @@ def table_fig10(
     budget: int = 10_000,
     scale: float = 0.1,
     n_trials: int = 100,
-    c: float = 0.5,
     seed: int = 0,
 ) -> pd.DataFrame:
     """Fig. 10: sensitivity to the number of strata K (2–10)."""
-    (budget,) = _scaled_budgets((budget,), scale)
-    rows = []
-    for name in datasets:
-        ds = D.load(name, scale=scale)
-        truth = ds.ground_truth()
-        eb = _effective_budget(len(ds.pdf), budget)
-        t_uni = run_trials(
-            spark, kind="uniform", data=ds.population(), n_budget=eb,
-            n_trials=n_trials, base_seed=seed + _cond_seed(name, "u"),
-        )
-        r_uni = M.rmse(t_uni["estimate"], truth)
-        for k in ks:
-            t = run_trials(
-                spark, kind="abae", data=ds.strata(k), n_budget=eb,
-                n_trials=n_trials, base_seed=seed + _cond_seed(name, k),
-                stage1_frac=c,
-            )
-            rows.append(
-                {
-                    "table": "fig10", "dataset": name, "k": k, "budget": eb,
-                    "rmse_abae": M.rmse(t["estimate"], truth),
-                    "rmse_uniform": r_uni,
-                }
-            )
-    return pd.DataFrame(rows)
+    return _sensitivity(
+        spark, "fig10", "k", ks,
+        datasets=datasets, budget=budget, scale=scale, n_trials=n_trials, seed=seed,
+    )
 
 
 def table_fig11(
@@ -437,57 +427,20 @@ def table_fig11(
     budget: int = 10_000,
     scale: float = 0.1,
     n_trials: int = 100,
-    k: int = 5,
     seed: int = 0,
 ) -> pd.DataFrame:
     """Fig. 11: sensitivity to the Stage-1 budget fraction C."""
-    (budget,) = _scaled_budgets((budget,), scale)
-    rows = []
-    for name in datasets:
-        ds = D.load(name, scale=scale)
-        truth = ds.ground_truth()
-        strata = ds.strata(k)
-        eb = _effective_budget(len(ds.pdf), budget)
-        t_uni = run_trials(
-            spark, kind="uniform", data=ds.population(), n_budget=eb,
-            n_trials=n_trials, base_seed=seed + _cond_seed(name, "u"),
-        )
-        r_uni = M.rmse(t_uni["estimate"], truth)
-        for c in cs:
-            t = run_trials(
-                spark, kind="abae", data=strata, n_budget=eb,
-                n_trials=n_trials, base_seed=seed + _cond_seed(name, c),
-                stage1_frac=c,
-            )
-            rows.append(
-                {
-                    "table": "fig11", "dataset": name, "c": c, "budget": eb,
-                    "rmse_abae": M.rmse(t["estimate"], truth),
-                    "rmse_uniform": r_uni,
-                }
-            )
-    return pd.DataFrame(rows)
-
-
-def _combined_proxy_trials(spark, ds, budget, n_trials, k, c, base_seed):
-    """Fig. 12 ABAE-with-combined-proxy trials: the pilot that fits the
-    logistic merge doubles as Stage 1 (§3.4 sample reuse); see
-    ``core.proxy_select.combined_proxy_trial``."""
-    from repro.core.proxy_select import combined_proxy_trial
-
-    pdf = ds.pdf
-    score_cols = [cname for cname in ds.proxy_cols if cname != "proxy"]
-    payload = (
-        {cname: pdf[cname].to_numpy(float) for cname in score_cols},
-        pdf["value"].to_numpy(float),
-        pdf["label"].to_numpy(),
+    return _sensitivity(
+        spark, "fig11", "c", cs,
+        datasets=datasets, budget=budget, scale=scale, n_trials=n_trials, seed=seed,
     )
 
-    def one(payload, seed: int) -> list[tuple[float]]:
-        rng = np.random.default_rng(seed)
-        return [(combined_proxy_trial(*payload, budget, rng, k=k, pilot_frac=c),)]
 
-    return _distribute(spark, one, payload, n_trials, base_seed, "trial long, estimate double")
+def _combined_input(ds: D.Dataset):
+    """(scores per proxy, values, labels): the ``abae_combined`` input,
+    every proxy but the summary ``proxy`` column."""
+    scores = {c: ds.pdf[c].to_numpy(float) for c in ds.proxy_cols if c != "proxy"}
+    return (scores, *ds.population())
 
 
 def table_fig12(
@@ -496,47 +449,34 @@ def table_fig12(
     budgets=DEFAULT_BUDGETS,
     scale: float = 0.1,
     n_trials: int = 100,
-    k: int = 5,
-    c: float = 0.5,
     seed: int = 0,
 ) -> pd.DataFrame:
     """Fig. 12: uniform vs single-proxy ABAE vs ABAE with the logistic
     proxy combination, on the trec05p keyword-proxy surrogate and the
     synthetic noisy-Bernoulli-proxy set."""
-    budgets = _scaled_budgets(budgets, scale)
     sets = {
         "trec05p_proxies": D.trec05p_proxies(scale=max(scale, 0.05)),
         "synthetic_combine": D.synthetic_combine(n=max(5000, int(50_000 * scale * 10))),
     }
+    methods = {
+        "u": _UNIFORM,
+        "s": ("abae", lambda ds: ds.strata(K, proxy_col=ds.proxy_cols[1])),
+        "c": ("abae_combined", _combined_input),
+    }
     rows = []
-    for name, ds in sets.items():
+    for name, ds, _, n, t in _sweep(
+        spark, sets.items(), _scaled_budgets(budgets, scale), methods,
+        n_trials=n_trials, seed=seed,
+    ):
         truth = ds.ground_truth()
-        pop = ds.population()
-        strata_single = ds.strata(k, proxy_col=ds.proxy_cols[1])
-        for budget in budgets:
-            eb = _effective_budget(len(ds.pdf), budget)
-            t_uni = run_trials(
-                spark, kind="uniform", data=pop, n_budget=eb, n_trials=n_trials,
-                base_seed=seed + _cond_seed(name, budget, "u"),
-            )
-            t_single = run_trials(
-                spark, kind="abae", data=strata_single, n_budget=eb,
-                n_trials=n_trials,
-                base_seed=seed + _cond_seed(name, budget, "s"),
-                stage1_frac=c,
-            )
-            t_comb = _combined_proxy_trials(
-                spark, ds, eb, n_trials, k, c,
-                seed + _cond_seed(name, budget, "c"),
-            )
-            rows.append(
-                {
-                    "table": "fig12", "dataset": name, "budget": eb,
-                    "rmse_uniform": M.rmse(t_uni["estimate"], truth),
-                    "rmse_abae_single": M.rmse(t_single["estimate"], truth),
-                    "rmse_abae_combined": M.rmse(t_comb["estimate"], truth),
-                }
-            )
+        rows.append(
+            {
+                "table": "fig12", "dataset": name, "budget": n,
+                "rmse_uniform": _rmse(t["u"], truth),
+                "rmse_abae_single": _rmse(t["s"], truth),
+                "rmse_abae_combined": _rmse(t["c"], truth),
+            }
+        )
     return pd.DataFrame(rows)
 
 
@@ -568,3 +508,31 @@ def table2_datasets(scale: float = 0.1) -> pd.DataFrame:
             }
         )
     return pd.DataFrame(rows)
+
+
+#: Every evaluation table by the stem of the ``results/<stem>.csv`` it
+#: is saved to: the names ``jobs/run_table.py`` and the bench take.
+TABLES = {
+    "table2_datasets": table2_datasets,
+    "fig2_rmse": table_fig2,
+    "fig3_low_budgets": table_fig3,
+    "fig4_qerror": table_fig4,
+    "fig5_ci": table_fig5,
+    "fig6_multipred": table_fig6,
+    "fig7_groupby_single": table_fig7,
+    "fig8_groupby_multi": table_fig8,
+    "fig9_lesion": table_fig9,
+    "fig10_k": table_fig10,
+    "fig11_c": table_fig11,
+    "fig12_combine": table_fig12,
+}
+
+
+def run_table(
+    name: str, spark: SparkSession | None, *, scale: float, n_trials: int, seed: int = 0
+) -> pd.DataFrame:
+    """Table ``name`` (a :data:`TABLES` key) at the given scale and
+    trials per condition. Table 2 runs no trials and needs no session."""
+    if name == "table2_datasets":
+        return table2_datasets(scale=scale)
+    return TABLES[name](spark, scale=scale, n_trials=n_trials, seed=seed)

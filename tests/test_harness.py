@@ -12,6 +12,14 @@ from repro.experiments.harness import estimates_matrix, run_group_trials, run_tr
 from repro.simulate import datasets as D
 
 
+def _combined_payload():
+    """The "abae_combined" input on the synthetic proxy-combination set:
+    every proxy's scores but the summary ``proxy``, values, labels."""
+    ds = D.synthetic_combine(n=5000)
+    scores = {c: ds.pdf[c].to_numpy(float) for c in ds.proxy_cols if c != "proxy"}
+    return (scores, *ds.population())
+
+
 class TestLocalTrials:
     def test_columns_and_rows(self, toy_strata):
         out = run_trials(None, kind="abae", data=toy_strata, n_budget=300, n_trials=20)
@@ -106,14 +114,16 @@ class TestLocalGroupTrials:
 
 @pytest.mark.spark
 class TestDistributedTrials:
-    def test_spark_matches_local_exactly(self, spark, toy_strata):
+    @pytest.mark.parametrize("kind", ["abae", "abae_combined"])
+    def test_spark_matches_local_exactly(self, spark, toy_strata, kind):
         """Distribution must not change results: same seeds ⇒ same
         estimates, Spark or not."""
+        data = toy_strata if kind == "abae" else _combined_payload()
         loc = run_trials(
-            None, kind="abae", data=toy_strata, n_budget=300, n_trials=16, base_seed=3
+            None, kind=kind, data=data, n_budget=300, n_trials=16, base_seed=3
         )
         dist = run_trials(
-            spark, kind="abae", data=toy_strata, n_budget=300, n_trials=16, base_seed=3
+            spark, kind=kind, data=data, n_budget=300, n_trials=16, base_seed=3
         )
         assert loc["estimate"].tolist() == dist["estimate"].tolist()
 

@@ -2,6 +2,8 @@
 logistic proxy combination (§3.4, Fig. 12)."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -121,10 +123,15 @@ class TestCombineProxies:
 
 class TestCombinedProxyTrial:
     def test_budget_respected(self):
+        """Total oracle spend ≤ N, and every call is one labeled sample."""
         scores, values, labels = _pilot()
-        rng = np.random.default_rng(0)
-        est = combined_proxy_trial(scores, values, labels, 600, rng)
-        assert np.isfinite(est)
+        for n_budget, seed in itertools.product((50, 101, 600, 1003, 2999), range(5)):
+            res = combined_proxy_trial(
+                scores, values, labels, n_budget, np.random.default_rng(seed)
+            )
+            assert np.isfinite(res.estimate)
+            assert res.oracle_calls <= n_budget
+            assert res.oracle_calls == sum(v.size for v, _ in res.samples)
 
     def test_pilot_over_budget_rejected(self):
         """The pilot holds at least 50 records, so N = 40 cannot pay for it."""
@@ -136,7 +143,7 @@ class TestCombinedProxyTrial:
         scores, values, labels = _pilot(n=8000, seed=4)
         truth = float(values[labels == 1].mean())
         ests = [
-            combined_proxy_trial(scores, values, labels, 1000, np.random.default_rng(i))
+            combined_proxy_trial(scores, values, labels, 1000, np.random.default_rng(i)).estimate
             for i in range(120)
         ]
         assert np.mean(ests) == pytest.approx(truth, abs=0.12)
@@ -152,7 +159,7 @@ class TestCombinedProxyTrial:
         vals = pdf["value"].to_numpy(float)
         labs = pdf["label"].to_numpy()
         ec = [
-            combined_proxy_trial(scores, vals, labs, 1000, np.random.default_rng(i))
+            combined_proxy_trial(scores, vals, labs, 1000, np.random.default_rng(i)).estimate
             for i in range(120)
         ]
         s1 = ds.strata(5, score_cols[0])
