@@ -3,11 +3,11 @@
 The paper runs every condition 1,000 times. A single trial is a cheap
 numpy kernel (core.sampler / core.groupby); the fleet of trials is
 embarrassingly parallel, so we distribute it with ``mapInPandas`` over
-a DataFrame of trial seeds: the per-stratum arrays are broadcast once,
-each executor core runs its share of seeds, and only (trial, estimate,
-ci) rows come back. This is the distributed_dataflow shape of the
-reproduction — dataset-scan work (stratification) happens in Catalyst,
-trial replication happens across the cluster.
+a DataFrame of trial seeds: the per-stratum arrays are broadcast once
+per call, each executor core runs its share of seeds, and only (trial,
+estimate, ci) rows come back. This is the distributed_dataflow shape of
+the reproduction — dataset-scan work (stratification) happens in
+Catalyst, trial replication happens across the cluster.
 
 Every trial runner goes through ``_distribute``, which falls back to a
 local loop when ``spark`` is None (unit tests that don't need the
@@ -31,6 +31,7 @@ from repro.core.groupby import (
 )
 from repro.core.proxy_select import combined_proxy_trial
 from repro.core.sampler import abae_trial, uniform_trial
+from repro.spark_worker import release_zip_importers
 
 SCALAR_KINDS = ("abae", "abae_noreuse", "uniform", "abae_combined")
 GROUP_KINDS = ("groupby_single", "groupby_multi", "uniform_single", "uniform_multi")
@@ -81,6 +82,7 @@ def _distribute(
     bc = spark.sparkContext.broadcast(data)
 
     def worker(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        release_zip_importers()
         payload = bc.value
         for batch in batches:
             rows = [

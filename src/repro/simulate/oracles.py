@@ -22,6 +22,8 @@ import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
+from repro.spark_worker import release_zip_importers
+
 
 class BudgetExceededError(RuntimeError):
     """Raised when an oracle is invoked more times than its budget."""
@@ -92,6 +94,7 @@ class SimulatedOracle:
 
             @F.pandas_udf("long")
             def _oracle(col: pd.Series) -> pd.Series:
+                release_zip_importers()
                 acc.add(len(col))
                 return col.astype("int64")
 
@@ -104,8 +107,7 @@ class SimulatedOracle:
         Applying this to the full dataset defeats the paper's purpose;
         tests assert via ``calls`` that only sampled rows are labeled.
         """
-        spark = SparkSession.getActiveSession()
-        udf = self.spark_udf(spark)
+        udf = self.spark_udf(df.sparkSession)
         return df.withColumn(out_col, udf(F.col(self.label_col)))
 
     @property

@@ -4,6 +4,7 @@ with the numpy kernel's statistics."""
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -311,6 +312,18 @@ class TestUniformQuery:
             ns_df, n_budget=3000, oracle=SimulatedOracle("label"), seed=2
         )
         assert res.estimate == pytest.approx(truth, rel=0.25)
+
+    def test_runs_from_a_thread(self, ns_df):
+        """A thread has no active session; the oracle takes the session
+        from the frame it labels."""
+
+        def query():
+            return uniform_query(ns_df, n_budget=300, oracle=SimulatedOracle("label"), seed=3)
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            res = pool.submit(query).result(timeout=300)
+        assert res.oracle_calls == 300
+        assert res.estimate == query().estimate
 
     def test_matches_duckdb_on_same_sample(self, spark, night_street):
         """The uniform sample's aggregate must equal DuckDB's answer

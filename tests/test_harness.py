@@ -167,6 +167,24 @@ class TestDistributedTrials:
 
         assert self._jobs_in_group(spark, f"test-harness-no-trials{n_trials}", call) == []
 
+    def test_workers_hold_no_zip_importers(self, spark):
+        """A trial runs with its worker's ``zipimporter`` entries dropped
+        (``spark_worker.release_zip_importers``), on a reused worker too,
+        so pyspark's per-task ``invalidate_caches()`` re-reads no archive."""
+
+        def zip_importers(payload, seed):
+            import sys
+            import zipimport
+
+            cache = sys.path_importer_cache.values()
+            return [(sum(isinstance(f, zipimport.zipimporter) for f in cache),)]
+
+        for _ in range(2):
+            out = harness._distribute(
+                spark, zip_importers, None, 4, 0, "trial long, zip_importers long"
+            )
+            assert out["zip_importers"].tolist() == [0, 0, 0, 0]
+
     def test_spark_with_ci(self, spark, toy_strata):
         out = run_trials(
             spark, kind="abae", data=toy_strata, n_budget=300, n_trials=8,
