@@ -21,8 +21,10 @@ def release_zip_importers() -> None:
     """Drop the ``zipimporter`` entries from ``sys.path_importer_cache``,
     so the next task on this worker has no archive to re-read.
 
-    Call it at the top of a function that runs on an executor. Only the
-    first task on a fresh worker then pays for the re-read.
+    Call it at the top of a function that runs on an executor. Then only
+    a fresh worker's first tasks pay for the re-read: entries come back
+    while a task imports modules for the first time, and the next call
+    drops them.
 
     Pruning is safe here. ``sys.path_importer_cache`` is documented as a
     cache: a path whose entry is gone gets a new importer from the path
