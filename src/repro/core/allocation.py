@@ -7,7 +7,8 @@ budget N across strata is T_k* ∝ √p_k · σ_k.
 Proposition 2: under T*, the MSE is (Σ_k √p_k σ_k)² / (N · p_all²).
 
 These formulas drive Stage 2 of ABAE (with plug-in estimates), the
-group-by objectives (Eqs. 10–11), and proxy selection (§3.4).
+group-by objectives (Eqs. 10–11, through :func:`err_coefs`), and proxy
+selection (§3.4).
 """
 from __future__ import annotations
 
@@ -32,32 +33,35 @@ def optimal_allocation(p: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return raw / total
 
 
+def err_coefs(p: np.ndarray, sigma: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """N × MSE of the combined estimator under allocation ``t`` with
+    deterministic draws: Σ_k w_k² σ_k² / (p_k t_k)  (Eq. 3), for every
+    column g at once.
+
+    ``p`` and ``sigma`` have shape (..., K, G) and ``t`` (..., K); the
+    result has shape (..., G). Strata with w_k σ_k = 0 contribute 0;
+    a stratum with t_k = 0 but w_k σ_k > 0 (never sampled) makes the
+    sum infinite. The group-by objectives (Eqs. 10–11) call this Err(g).
+    """
+    p_all = p.sum(axis=-2, keepdims=True)
+    w = np.divide(p, p_all, out=np.zeros_like(p), where=p_all > 0)
+    num = w**2 * sigma**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(num > 0, num / (p * t[..., None]), 0.0)
+    return terms.sum(axis=-2)
+
+
 def mse_for_allocation(
     p: np.ndarray, sigma: np.ndarray, t: np.ndarray, n: int
 ) -> float:
     """MSE of the combined estimator under allocation ``t`` with
-    deterministic draws: Σ_k w_k² σ_k² / (p_k T_k N)  (Eq. 3).
-
-    Strata with p_k = 0 contribute 0 (w_k = 0); strata with T_k = 0 but
-    p_k σ_k > 0 make the MSE infinite (they are never sampled).
-    """
+    deterministic draws: :func:`err_coefs` of one group at allocation
+    N·t, which is 0 when every w_k σ_k is 0 and infinite when a stratum
+    with w_k σ_k > 0 gets no draws (also for N = 0)."""
     p = np.asarray(p, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     t = np.asarray(t, dtype=float)
-    p_all = p.sum()
-    if p_all <= 0:
-        return 0.0
-    w = p / p_all
-    num = w**2 * sigma**2
-    out = 0.0
-    for k in range(p.size):
-        if num[k] == 0.0:
-            continue
-        denom = p[k] * t[k] * n
-        if denom <= 0.0:
-            return float("inf")
-        out += num[k] / denom
-    return float(out)
+    return float(err_coefs(p[:, None], sigma[:, None], t * n)[0])
 
 
 def optimal_mse(p: np.ndarray, sigma: np.ndarray, n: int) -> float:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.allocation import optimal_allocation
+from repro.core.allocation import err_coefs, optimal_allocation
 from repro.core.estimator import (
     combine,
     group_estimates,
@@ -96,20 +96,10 @@ class GroupTrialResult:
 
 
 def _err_coefs(p: np.ndarray, sigma: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Err(g): MSE × N for allocation t (the Eq. 10/11 inner sum,
-    Σ_k w_k² σ_k² / (p_k t_k), Eq. 3), for every group at once from
-    per-stratum pilot p̂ and σ̂ of shape (..., K, G) and t of shape
-    (..., K); returns shape (..., G).
-
-    Unsampleable configurations (t_k = 0 where the group lives) get a
-    large-but-finite coefficient so Nelder–Mead stays numeric.
-    """
-    p_all = p.sum(axis=-2, keepdims=True)
-    w = np.divide(p, p_all, out=np.zeros_like(p), where=p_all > 0)
-    num = w**2 * sigma**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(num > 0, num / (p * t[..., None]), 0.0)
-    return np.minimum(terms.sum(axis=-2), 1e12)
+    """Err(g): :func:`~repro.core.allocation.err_coefs` capped at 1e12,
+    so unsampleable configurations (t_k = 0 where the group lives) stay
+    numeric for Nelder–Mead."""
+    return np.minimum(err_coefs(p, sigma, t), 1e12)
 
 
 def solve_minimax_multi(coefs: np.ndarray, n2: int) -> np.ndarray:

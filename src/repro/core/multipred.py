@@ -8,15 +8,18 @@ rewriting the Boolean expression arithmetically:
 * a ∧ b  →  a · b
 * a ∨ b  →  max(a, b)
 
-and then runs plain ABAE with the combined score. The same AST also
-evaluates the *oracle truth* of the expression (Boolean semantics), so
-one oracle invocation per sampled record resolves the whole predicate.
+and then runs plain ABAE with the combined score. On {0, 1} labels the
+same arithmetic is the Boolean truth of the expression, so one
+evaluator gives both the combined proxy score (from per-predicate
+scores) and the oracle truth (from per-predicate 0/1 labels): one
+oracle invocation per sampled record resolves the whole predicate.
 
-Expressions are built programmatically::
+Inputs are numpy arrays or Spark Columns; the result has the inputs'
+type and dtype::
 
     expr = And(Pred("cars"), Not(Pred("red_light")))
-    expr.score({"cars": s1, "red_light": s2})    # numpy
-    expr.score_col({"cars": F.col("proxy_0"), ...})  # Spark Column
+    expr.evaluate({"cars": s1, "red_light": s2})                  # numpy
+    expr.evaluate({"cars": F.col("proxy_0"), "red_light": F.col("proxy_1")})  # Spark
 """
 from __future__ import annotations
 
@@ -30,20 +33,10 @@ from pyspark.sql import functions as F
 class PredExpr:
     """Base class for predicate-expression nodes."""
 
-    def score(self, scores: dict[str, np.ndarray]) -> np.ndarray:
-        """Combined proxy score in [0, 1] (arithmetic rewriting)."""
-        raise NotImplementedError
-
-    def truth(self, labels: dict[str, np.ndarray]) -> np.ndarray:
-        """Oracle truth of the expression (Boolean semantics, {0,1})."""
-        raise NotImplementedError
-
-    def score_col(self, cols: dict[str, Column]) -> Column:
-        """Spark Column version of :meth:`score`."""
-        raise NotImplementedError
-
-    def truth_col(self, cols: dict[str, Column]) -> Column:
-        """Spark Column version of :meth:`truth`."""
+    def evaluate(self, inputs: dict):
+        """The expression's arithmetic rewrite over ``inputs`` (base
+        predicate name → numpy array or Spark Column): the combined
+        score in [0, 1] over scores, the truth in {0, 1} over labels."""
         raise NotImplementedError
 
     def names(self) -> set[str]:
@@ -57,17 +50,8 @@ class Pred(PredExpr):
 
     name: str
 
-    def score(self, scores):
-        return np.asarray(scores[self.name], dtype=float)
-
-    def truth(self, labels):
-        return np.asarray(labels[self.name]).astype(np.int64)
-
-    def score_col(self, cols):
-        return cols[self.name]
-
-    def truth_col(self, cols):
-        return cols[self.name].cast("long")
+    def evaluate(self, inputs):
+        return inputs[self.name]
 
     def names(self):
         return {self.name}
@@ -75,21 +59,12 @@ class Pred(PredExpr):
 
 @dataclass(frozen=True)
 class Not(PredExpr):
-    """Negation: score 1 − a, truth ¬a."""
+    """Negation: 1 − a."""
 
     child: PredExpr
 
-    def score(self, scores):
-        return 1.0 - self.child.score(scores)
-
-    def truth(self, labels):
-        return 1 - self.child.truth(labels)
-
-    def score_col(self, cols):
-        return F.lit(1.0) - self.child.score_col(cols)
-
-    def truth_col(self, cols):
-        return F.lit(1) - self.child.truth_col(cols)
+    def evaluate(self, inputs):
+        return 1 - self.child.evaluate(inputs)
 
     def names(self):
         return self.child.names()
@@ -108,69 +83,24 @@ class _NAry(PredExpr):
         return hash((type(self).__name__, self.children))
 
     def names(self):
-        out: set[str] = set()
-        for c in self.children:
-            out |= c.names()
-        return out
+        return set().union(*(c.names() for c in self.children))
 
 
 class And(_NAry):
-    """Conjunction: score = product, truth = logical AND."""
+    """Conjunction: the product."""
 
-    def score(self, scores):
-        out = self.children[0].score(scores)
+    def evaluate(self, inputs):
+        out = self.children[0].evaluate(inputs)
         for c in self.children[1:]:
-            out = out * c.score(scores)
-        return out
-
-    def truth(self, labels):
-        out = self.children[0].truth(labels)
-        for c in self.children[1:]:
-            out = out & c.truth(labels)
-        return out
-
-    def score_col(self, cols):
-        out = self.children[0].score_col(cols)
-        for c in self.children[1:]:
-            out = out * c.score_col(cols)
-        return out
-
-    def truth_col(self, cols):
-        out = self.children[0].truth_col(cols)
-        for c in self.children[1:]:
-            out = out * c.truth_col(cols)
+            out = out * c.evaluate(inputs)
         return out
 
 
 class Or(_NAry):
-    """Disjunction: score = max, truth = logical OR."""
+    """Disjunction: the maximum."""
 
-    def score(self, scores):
-        return np.maximum.reduce([c.score(scores) for c in self.children])
-
-    def truth(self, labels):
-        out = self.children[0].truth(labels)
-        for c in self.children[1:]:
-            out = out | c.truth(labels)
-        return out
-
-    def score_col(self, cols):
-        return F.greatest(*[c.score_col(cols) for c in self.children])
-
-    def truth_col(self, cols):
-        return F.greatest(*[c.truth_col(cols) for c in self.children])
-
-
-def combined_proxy_column(expr: PredExpr, mapping: dict[str, str]) -> Column:
-    """Build the combined-proxy Column from column *names*.
-
-    Args:
-        expr: the predicate expression.
-        mapping: base-predicate name → proxy-score column name.
-    """
-    return expr.score_col({n: F.col(c) for n, c in mapping.items()})
-
-
-def combined_truth_column(expr: PredExpr, mapping: dict[str, str]) -> Column:
-    """Build the oracle-truth Column from label column names."""
-    return expr.truth_col({n: F.col(c) for n, c in mapping.items()})
+    def evaluate(self, inputs):
+        vals = [c.evaluate(inputs) for c in self.children]
+        if isinstance(vals[0], Column):
+            return F.greatest(*vals)
+        return np.maximum.reduce(vals)

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Stable logistic function: exp is only taken of −|z|."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
@@ -35,7 +37,7 @@ class LogisticModel:
             x: (n, d) feature matrix (d = number of proxies).
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return _sigmoid(x @ self.weights + self.intercept)
+        return sigmoid(x @ self.weights + self.intercept)
 
 
 def fit_logistic(
@@ -71,7 +73,7 @@ def fit_logistic(
     reg = l2 * np.eye(d + 1)
     reg[-1, -1] = 0.0  # do not penalize the intercept
     for _ in range(max_iter):
-        p = _sigmoid(xb @ beta)
+        p = sigmoid(xb @ beta)
         w = np.clip(p * (1.0 - p), 1e-12, None)
         grad = xb.T @ (p - y) + reg @ beta
         hess = (xb * w[:, None]).T @ xb + reg

@@ -23,6 +23,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.multipred import And, Pred
 from repro.core.stratify import strata_arrays
 from repro.simulate.proxies import (
     calibrate_intercept,
@@ -262,6 +263,16 @@ def load(name: str, *, scale: float = 0.02, seed: int | None = None) -> Dataset:
 # Multi-predicate datasets (Fig. 6)
 # ---------------------------------------------------------------------------
 
+#: Fig. 6's query predicate, O_0(x) ∧ O_1(x).
+_BOTH = And(Pred("0"), Pred("1"))
+
+
+def _both(pdf: pd.DataFrame, prefix: str) -> np.ndarray:
+    """:data:`_BOTH` evaluated over ``<prefix>_0`` and ``<prefix>_1``:
+    the product score of the proxies, the conjunction of the labels."""
+    return _BOTH.evaluate({j: pdf[f"{prefix}_{j}"].to_numpy() for j in "01"})
+
+
 def night_street_multipred(*, scale: float = 0.02, seed: int = 201) -> Dataset:
     """night-street with a second predicate: cars>0 AND red_light.
 
@@ -279,10 +290,10 @@ def night_street_multipred(*, scale: float = 0.02, seed: int = 201) -> Dataset:
     b2 = calibrate_intercept(latent_b, 0.425)
     pdf["label_1"] = labels_from_latent(latent_b, b2, rng)
     pdf["proxy_1"] = noisy_proxy(latent_b, b2, 0.4, rng)
-    pdf["label"] = (pdf["label_0"] & pdf["label_1"]).astype(np.int64)
+    pdf["label"] = _both(pdf, "label")
     lam = 0.4 + 2.2 * sigmoid(latent_a)
     pdf["value"] = np.where(pdf["label_0"] == 1, 1 + rng.poisson(lam), 0).astype(float)
-    pdf["proxy"] = pdf["proxy_0"] * pdf["proxy_1"]  # the ∧-combined score
+    pdf["proxy"] = _both(pdf, "proxy")  # the ∧-combined score
     return Dataset(
         "night_street_multipred", pdf, proxy_cols=("proxy", "proxy_0", "proxy_1")
     )
@@ -307,10 +318,10 @@ def synthetic_multipred(*, n: int = 50_000, k: int = 5, seed: int = 202) -> Data
         probs = p_k[stratum]
         pdf[f"label_{j}"] = (rng.random(n) < probs).astype(np.int64)
         pdf[f"proxy_{j}"] = np.clip(probs + rng.normal(0, 0.02, n), 0.0, 1.0)
-    pdf["label"] = (pdf["label_0"] & pdf["label_1"]).astype(np.int64)
+    pdf["label"] = _both(pdf, "label")
     mu_k = rng.normal(5.0, 2.0, k)
     pdf["value"] = rng.normal(mu_k[strat[0]], 1.0)
-    pdf["proxy"] = pdf["proxy_0"] * pdf["proxy_1"]
+    pdf["proxy"] = _both(pdf, "proxy")
     return Dataset("synthetic_multipred", pdf, proxy_cols=("proxy", "proxy_0", "proxy_1"))
 
 
@@ -366,54 +377,63 @@ def celeba_groupby(*, scale: float = 0.02, seed: int = 301) -> Dataset:
     return Dataset("celeba_groupby", pdf, proxy_cols=("proxy_0", "proxy_1"), n_groups=2)
 
 
-def synthetic_groupby_single(*, n: int = 100_000, seed: int = 302) -> Dataset:
-    """Fig. 7 synthetic set: 4 groups with positive rates 3.3%, 3.3%,
-    3.4%, 3.5%; normal statistic; Bernoulli predicate with the proxy as
-    the probability (single group-key oracle)."""
+def _synthetic_groupby(
+    name: str, n: int, seed: int, rates: tuple, beta_a: float, mus: tuple, sd: float
+) -> Dataset:
+    """Figs. 7–8 synthetic sets: group g's proxy is a Beta(a, a(1−r_g)/r_g)
+    score (mean r_g), membership is Bernoulli with the proxy as the
+    probability, and the statistic is N(0, sd) shifted by the group's
+    mean."""
     rng = np.random.default_rng(seed)
-    rates = (0.033, 0.033, 0.034, 0.035)
-    # Very sharp Beta (a=0.05): scores pile up near 0 with a small mass
-    # near 1, i.e. a near-perfectly-separating calibrated proxy — the
-    # regime the paper's "Bernoulli with the proxy probability"
-    # construction targets.
     scores = np.column_stack(
-        [np.clip(rng.beta(0.05, 0.05 * (1 - r) / r, n), 1e-4, 1 - 1e-4) for r in rates]
+        [np.clip(rng.beta(beta_a, beta_a * (1 - r) / r, n), 1e-4, 1 - 1e-4) for r in rates]
     )
-    mus = (10.0, 12.0, 8.0, 11.0)
-    base = rng.normal(0.0, 2.0, n)
+    base = rng.normal(0.0, sd, n)
     pdf = _groupby_from_scores(scores, rng, base)
     shift = np.zeros(n)
     m = pdf["group"].to_numpy() >= 0
     shift[m] = np.asarray(mus)[pdf["group"].to_numpy()[m]]
     pdf["value"] = base + shift
     return Dataset(
-        "synthetic_groupby_single",
+        name,
         pdf,
-        proxy_cols=tuple(f"proxy_{j}" for j in range(4)),
-        n_groups=4,
+        proxy_cols=tuple(f"proxy_{j}" for j in range(len(rates))),
+        n_groups=len(rates),
+    )
+
+
+def synthetic_groupby_single(*, n: int = 100_000, seed: int = 302) -> Dataset:
+    """Fig. 7 synthetic set: 4 groups with positive rates 3.3%, 3.3%,
+    3.4%, 3.5%; normal statistic; Bernoulli predicate with the proxy as
+    the probability (single group-key oracle).
+
+    The very sharp Beta (a = 0.05) piles scores up near 0 with a small
+    mass near 1, i.e. a near-perfectly-separating calibrated proxy — the
+    regime the paper's "Bernoulli with the proxy probability"
+    construction targets.
+    """
+    return _synthetic_groupby(
+        "synthetic_groupby_single",
+        n,
+        seed,
+        rates=(0.033, 0.033, 0.034, 0.035),
+        beta_a=0.05,
+        mus=(10.0, 12.0, 8.0, 11.0),
+        sd=2.0,
     )
 
 
 def synthetic_groupby_multi(*, n: int = 100_000, seed: int = 303) -> Dataset:
     """Fig. 8 synthetic set: 4 groups with positive rates 16%, 12%, 9%,
     5% (one oracle per group)."""
-    rng = np.random.default_rng(seed)
-    rates = (0.16, 0.12, 0.09, 0.05)
-    scores = np.column_stack(
-        [np.clip(rng.beta(0.5, 0.5 * (1 - r) / r, n), 1e-4, 1 - 1e-4) for r in rates]
-    )
-    mus = (5.0, 7.0, 3.0, 9.0)
-    base = rng.normal(0.0, 1.5, n)
-    pdf = _groupby_from_scores(scores, rng, base)
-    shift = np.zeros(n)
-    m = pdf["group"].to_numpy() >= 0
-    shift[m] = np.asarray(mus)[pdf["group"].to_numpy()[m]]
-    pdf["value"] = base + shift
-    return Dataset(
+    return _synthetic_groupby(
         "synthetic_groupby_multi",
-        pdf,
-        proxy_cols=tuple(f"proxy_{j}" for j in range(4)),
-        n_groups=4,
+        n,
+        seed,
+        rates=(0.16, 0.12, 0.09, 0.05),
+        beta_a=0.5,
+        mus=(5.0, 7.0, 3.0, 9.0),
+        sd=1.5,
     )
 
 

@@ -14,16 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Stable logistic function."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[pos ^ True])
-    out[pos ^ True] = ez / (1.0 + ez)
-    return out
+from repro.optimize.logistic import sigmoid
 
 
 def calibrate_intercept(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocation import (
+    err_coefs,
     mse_for_allocation,
     optimal_allocation,
     optimal_mse,
@@ -126,6 +127,49 @@ class TestProp2MSE:
         sigma = np.array([1.0, 1.0])
         t = np.array([1.0, 0.0])
         assert mse_for_allocation(p, sigma, t, 100) == float("inf")
+
+
+def _eq3_loop(p, sigma, t, n):
+    """Eq. 3 one stratum at a time: the reference for :func:`err_coefs`."""
+    p_all = p.sum()
+    if p_all <= 0:
+        return 0.0
+    out = 0.0
+    for k in range(p.size):
+        num = (p[k] / p_all) ** 2 * sigma[k] ** 2
+        if num == 0.0:
+            continue
+        if p[k] * t[k] * n <= 0.0:
+            return float("inf")
+        out += num / (p[k] * t[k] * n)
+    return out
+
+
+class TestErrCoefs:
+    def test_matches_loop_reference(self):
+        """Every column of a batched (L, K, G) call, and
+        ``mse_for_allocation``, equal the loop within a few ulp (the sum
+        is taken in another order); 0 and inf exactly. Inputs include
+        strata with p = 0, σ = 0 and t = 0."""
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            l, k, g = rng.integers(1, 5), rng.integers(1, 8), rng.integers(1, 5)
+            p = rng.random((l, k, g)) * (rng.random((l, k, g)) < 0.8)
+            sigma = rng.random((l, k, g)) * 3 * (rng.random((l, k, g)) < 0.9)
+            t = rng.dirichlet(np.ones(k), size=l) * (rng.random((l, k)) < 0.85)
+            n = int(rng.integers(1, 1000))
+            got = err_coefs(p, sigma, t)
+            assert got.shape == (l, g)
+            for i in range(l):
+                for j in range(g):
+                    want = _eq3_loop(p[i, :, j], sigma[i, :, j], t[i], 1)
+                    mse = mse_for_allocation(p[i, :, j], sigma[i, :, j], t[i], n)
+                    want_mse = _eq3_loop(p[i, :, j], sigma[i, :, j], t[i], n)
+                    for a, b in ((got[i, j], want), (mse, want_mse)):
+                        if np.isfinite(b) and b > 0:
+                            assert a == pytest.approx(b, rel=16 * np.finfo(float).eps)
+                        else:
+                            assert a == b
 
 
 class TestStage2Counts:
