@@ -19,34 +19,35 @@ is:
    whose hash lies below a threshold sized to hold m + 6√m + 32 rows of
    the smallest stratum (a margin of about 6σ). The candidates are a
    prefix of each stratum's order, so ``row_number`` over them gives the
-   same first m ranks as over the whole stratum. The same window pass
-   counts each stratum's candidates. The candidates are coalesced into
-   one partition before they are ranked, so the rank window needs no
-   shuffle and the oracle UDF runs in one task rather than in
-   ``spark.sql.shuffle.partitions`` of them, and the small candidate
-   frame is persisted.
+   same first m ranks as over the whole stratum. The candidates are
+   coalesced into one partition before they are ranked, so the rank
+   window needs no shuffle and the oracle UDF runs in one task rather
+   than in ``spark.sql.shuffle.partitions`` of them, and the small
+   candidate frame is persisted.
 3. Stage 1 labels ranks 1..N₁/K of each stratum and collects them
    (≤ N₁ rows). The pilot p̂_k, σ̂_k come from those rows through the
    numpy estimator, then the allocation T̂ by Proposition 1.
 4. Stage 2 labels ranks (N₁/K, N₁/K + ⌊N₂·T̂_k⌋] — sampling without
    replacement with sample reuse — and the final per-stratum estimates,
    the combined answer and the optional bootstrap CI (Algorithm 2) come
-   from the ≤ N collected rows.
+   from the ≤ N collected rows. Both queries return the sampler's
+   ``TrialResult``.
 
-If a stratum holds fewer candidates than its draws, the missing ranks
-come from the unfiltered ranking: the same order, so the sample is the
-same, no row is labeled twice and no sample comes back short. Before
-each oracle stage the planned row count is checked against the oracle's
-remaining budget on the driver, since the accumulator that meters the
-UDF can only be read after a job has labeled its rows. A query reports
-the calls it metered itself (the accumulator's growth over the query)
-and raises if they differ from the rows it labeled: an accumulator
-updated in a transformation counts again when a stage re-executes.
+Each stage reads any candidate shortfall from the rows it gets back: a
+stratum that returns fewer rows than its draws has no candidates past
+them, and its missing ranks come from the unfiltered ranking. That is
+the same order, so the sample is the same, no row is labeled twice and
+no sample comes back short. Before each oracle stage the planned row
+count is checked against the oracle's remaining budget on the driver,
+since the accumulator that meters the UDF can only be read after a job
+has labeled its rows. A query reports the calls it metered itself (the
+accumulator's growth over the query) and raises if they differ from the
+rows it labeled: an accumulator updated in a transformation counts
+again when a stage re-executes.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
@@ -56,32 +57,9 @@ from pyspark.sql.window import Window
 
 from repro.core.bootstrap import bootstrap_ci
 from repro.core.estimator import plugin_estimates
-from repro.core.sampler import abae_sample, split_budget
+from repro.core.sampler import TrialResult, abae_sample, split_budget
 from repro.core.stratify import stratify_frame
 from repro.simulate.oracles import SimulatedOracle
-
-
-@dataclass
-class ABAEQueryResult:
-    """Result of an ABAE Spark query.
-
-    Attributes:
-        estimate: the approximate answer μ̂_all.
-        ci: (lower, upper) bootstrap CI, or None if no CI requested.
-        oracle_calls: oracle invocations this query spent.
-        p_hat/mu_hat/sigma_hat: final per-stratum plug-in estimates.
-        allocation: Stage-2 allocation T̂.
-        samples: per-stratum sampled (values, labels), for reuse.
-    """
-
-    estimate: float
-    ci: tuple[float, float] | None
-    oracle_calls: int
-    p_hat: np.ndarray
-    mu_hat: np.ndarray
-    sigma_hat: np.ndarray
-    allocation: np.ndarray
-    samples: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
 def _hash_threshold(m: int, size: int) -> int | None:
@@ -131,17 +109,25 @@ def _per_stratum(
     return samples
 
 
-def _metered(oracle: SimulatedOracle, before: int, labeled: int) -> int:
-    """The calls ``oracle`` metered since it stood at ``before``.
+def _finish(
+    res: TrialResult, oracle: SimulatedOracle, calls_before: int, seed: int, n_boot: int,
+    alpha: float,
+) -> TrialResult:
+    """``res`` with its bootstrap CI (Algorithm 2) when ``n_boot`` > 0.
 
     Raises:
-        RuntimeError: if they are not ``labeled``, the number of rows
-            the query labeled (Σ|samples|).
+        RuntimeError: if the calls ``oracle`` metered since it stood at
+            ``calls_before`` are not ``res.oracle_calls``, the number of
+            rows the query labeled (Σ|samples|).
     """
-    calls = oracle.calls - before
-    if calls != labeled:
-        raise RuntimeError(f"oracle metered {calls} calls for {labeled} labeled rows")
-    return calls
+    calls = oracle.calls - calls_before
+    if calls != res.oracle_calls:
+        raise RuntimeError(f"oracle metered {calls} calls for {res.oracle_calls} labeled rows")
+    if n_boot > 0:
+        res.ci = bootstrap_ci(
+            res.samples, np.random.default_rng(seed + 7), n_boot=n_boot, alpha=alpha
+        )
+    return res
 
 
 def abae_query(
@@ -157,10 +143,12 @@ def abae_query(
     seed: int = 0,
     n_boot: int = 0,
     alpha: float = 0.05,
-) -> ABAEQueryResult:
+) -> TrialResult:
     """Answer ``SELECT AVG(value) WHERE O(x) ORACLE LIMIT n_budget``
     with ABAE on a Spark DataFrame. See module docstring for dataflow;
-    the two stages are ``core.sampler.abae_sample`` over the ranks.
+    the two stages are ``core.sampler.abae_sample`` over the ranks, and
+    its result, with the CI of ``n_boot`` bootstrap resamples, is the
+    query's.
 
     Raises:
         ValueError: if ``n_budget`` is smaller than ``k``, if ``df``
@@ -168,7 +156,7 @@ def abae_query(
         BudgetExceededError: before a stage whose rows exceed the
             oracle's remaining budget is labeled.
         RuntimeError: if the oracle metered other than one call per
-            labeled row (see :func:`_metered`).
+            labeled row (see :func:`_finish`).
     """
     calls_before = oracle.calls
     n1_per, n2 = split_budget(n_budget, k, stage1_frac)
@@ -177,26 +165,14 @@ def abae_query(
     stratified = stratified.withColumn("_h", F.xxhash64(F.col(id_col), F.lit(seed)))
     threshold = _hash_threshold(n1_per + n2, int(sizes[-1]))
     cands = stratified if threshold is None else stratified.filter(F.col("_h") < threshold)
-    cands = _rank(cands, id_col)
-    cands = cands.withColumn("_cands", F.count(F.lit(1)).over(Window.partitionBy("stratum")))
-    cands = cands.persist()
+    cands = _rank(cands, id_col).persist()
     out = ["stratum", "_rank", value_col, "oracle_label"]
-    n_cands = None  # candidates per stratum, known after the first collect
 
     def draw(lo: np.ndarray, hi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        nonlocal n_cands
-        if n_cands is None:
-            rows = _label(oracle, cands, lo, hi).select(*out, "_cands").collect()
-            labeled = pd.DataFrame.from_records(rows, columns=[*out, "_cands"])
-            n_cands = np.zeros(k, dtype=np.int64)
-            strata = labeled["stratum"].to_numpy(dtype=np.int64)
-            n_cands[strata] = labeled["_cands"].to_numpy(dtype=np.int64)
-            labeled = labeled[out]
-            have = np.clip(n_cands, lo, hi)
-        else:
-            ranked = cands if (n_cands >= hi).all() else _rank(stratified, id_col)
-            labeled = _label(oracle, ranked, lo, hi).select(*out).toPandas()
-            have = hi
+        labeled = _label(oracle, cands, lo, hi).select(*out).toPandas()
+        # A stratum's candidates are a prefix of its order: the rows it
+        # returns end where its candidates do, or at hi.
+        have = lo + np.bincount(labeled["stratum"].to_numpy(dtype=np.int64), minlength=k)
         if (have < hi).any():  # candidate shortfall: top up from the full ranking
             topup = _label(oracle, _rank(stratified, id_col), have, hi).select(*out).toPandas()
             labeled = pd.concat([labeled, topup], ignore_index=True)
@@ -208,22 +184,7 @@ def abae_query(
         # Blocking, so the block removal does not run on into the next job.
         cands.unpersist(blocking=True)
 
-    calls = _metered(oracle, calls_before, res.oracle_calls)
-    ci = None
-    if n_boot > 0:
-        ci = bootstrap_ci(
-            res.samples, np.random.default_rng(seed + 7), n_boot=n_boot, alpha=alpha
-        )
-    return ABAEQueryResult(
-        estimate=res.estimate,
-        ci=ci,
-        oracle_calls=calls,
-        p_hat=np.array([e.p_hat for e in res.final]),
-        mu_hat=np.array([e.mu_hat for e in res.final]),
-        sigma_hat=np.array([e.sigma_hat for e in res.final]),
-        allocation=res.allocation,
-        samples=res.samples,
-    )
+    return _finish(res, oracle, calls_before, seed, n_boot, alpha)
 
 
 def uniform_query(
@@ -236,7 +197,7 @@ def uniform_query(
     seed: int = 0,
     n_boot: int = 0,
     alpha: float = 0.05,
-) -> ABAEQueryResult:
+) -> TrialResult:
     """Uniform-sampling baseline as a Spark query: take the first
     ``n_budget`` rows of a seeded hash ordering (a uniform without-
     replacement sample), label them with the oracle, average the
@@ -277,20 +238,5 @@ def uniform_query(
     )
     v = pdf[value_col].to_numpy(dtype=float)
     l = pdf["oracle_label"].to_numpy()
-    calls = _metered(oracle, calls_before, v.size)
-    est = plugin_estimates(v, l)
-    ci = None
-    if n_boot > 0:
-        ci = bootstrap_ci(
-            [(v, l)], np.random.default_rng(seed + 7), n_boot=n_boot, alpha=alpha
-        )
-    return ABAEQueryResult(
-        estimate=est.mu_hat,
-        ci=ci,
-        oracle_calls=calls,
-        p_hat=np.array([est.p_hat]),
-        mu_hat=np.array([est.mu_hat]),
-        sigma_hat=np.array([est.sigma_hat]),
-        allocation=np.array([]),
-        samples=[(v, l)],
-    )
+    res = TrialResult(estimate=plugin_estimates(v, l).mu_hat, oracle_calls=v.size, samples=[(v, l)])
+    return _finish(res, oracle, calls_before, seed, n_boot, alpha)

@@ -113,7 +113,8 @@ def true_strata_params(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exhaustive (p_k, σ_k, μ_k) over full strata — the "perfect
     information" quantities of §4.2, used by tests and by the
-    deterministic-draw formulas."""
+    deterministic-draw formulas — or their plug-in values over a
+    stratified pilot (proxy selection, §3.4)."""
     p = np.zeros(len(strata))
     sigma = np.zeros(len(strata))
     mu = np.zeros(len(strata))

@@ -290,21 +290,15 @@ def groupby_uniform_trial(
     """
     values = np.asarray(values, dtype=float)
     groups = np.asarray(groups)
+    per = max(1, n_budget // n_groups) if per_group_oracle else n_budget
     estimates = np.zeros(n_groups)
-    if per_group_oracle:
-        per = max(1, n_budget // n_groups)
-        calls = 0
-        for g in range(n_groups):
+    calls = 0
+    for g in range(n_groups):
+        if per_group_oracle or g == 0:
             idx = rng.choice(values.size, size=min(per, values.size), replace=False)
             calls += idx.size
-            pos = values[idx][groups[idx] == g]
-            estimates[g] = float(pos.mean()) if pos.size else 0.0
-    else:
-        idx = rng.choice(values.size, size=min(n_budget, values.size), replace=False)
-        calls = idx.size
-        for g in range(n_groups):
-            pos = values[idx][groups[idx] == g]
-            estimates[g] = float(pos.mean()) if pos.size else 0.0
+        pos = values[idx][groups[idx] == g]
+        estimates[g] = float(pos.mean()) if pos.size else 0.0
     return GroupTrialResult(
         estimates=estimates, oracle_calls=calls, allocation=np.array([])
     )

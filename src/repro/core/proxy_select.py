@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.allocation import optimal_mse
-from repro.core.estimator import plugin_estimates
+from repro.core.estimator import true_strata_params
 from repro.core.sampler import TrialResult, abae_stage2
-from repro.core.stratify import stratify_indices
+from repro.core.stratify import strata_arrays, stratify_indices
 from repro.optimize.logistic import LogisticModel, fit_logistic
 
 
@@ -44,12 +44,7 @@ def estimate_proxy_mse(
         k: number of strata the query would use.
         n_budget: the query's oracle budget N.
     """
-    s = stratify_indices(np.asarray(scores), k)
-    p = np.zeros(k)
-    sigma = np.zeros(k)
-    for i in range(k):
-        est = plugin_estimates(np.asarray(values)[s == i], np.asarray(labels)[s == i])
-        p[i], sigma[i] = est.p_hat, est.sigma_hat
+    p, sigma, _ = true_strata_params(strata_arrays(scores, values, labels, k))
     return optimal_mse(p, sigma, n_budget)
 
 

@@ -47,6 +47,8 @@ class TrialResult:
         stage1: per-stratum Stage-1 plug-in estimates.
         final: per-stratum plug-in estimates behind ``estimate``.
         allocation: T̂ used for Stage 2 (empty for uniform sampling).
+        ci: (lower, upper) bootstrap CI of a Spark query (``core.abae``)
+            run with ``n_boot`` > 0, else None.
     """
 
     estimate: float
@@ -55,6 +57,7 @@ class TrialResult:
     stage1: list[StratumEstimate] = field(default_factory=list)
     final: list[StratumEstimate] = field(default_factory=list)
     allocation: np.ndarray = field(default_factory=lambda: np.array([]))
+    ci: tuple[float, float] | None = None
 
 
 #: ``draw(lo, hi)`` labels ranks (lo_k, hi_k] of each stratum k's

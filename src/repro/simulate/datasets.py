@@ -17,7 +17,7 @@ and the exhaustive ground truth.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -65,7 +65,6 @@ class Dataset:
     pdf: pd.DataFrame
     proxy_cols: tuple[str, ...] = ("proxy",)
     n_groups: int = 0
-    extra: dict = field(default_factory=dict)
 
     def to_spark(self, spark: SparkSession) -> DataFrame:
         """Materialize as a Spark DataFrame (Arrow-backed), checkpointed
@@ -253,10 +252,9 @@ _REAL = {
 }
 
 
-def load(name: str, *, scale: float = 0.02, seed: int | None = None) -> Dataset:
+def load(name: str, *, scale: float = 0.02) -> Dataset:
     """Load a Table-2 surrogate by name at the given scale."""
-    fn = _REAL[name]
-    return fn(scale=scale) if seed is None else fn(scale=scale, seed=seed)
+    return _REAL[name](scale=scale)
 
 
 # ---------------------------------------------------------------------------

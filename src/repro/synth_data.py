@@ -2,7 +2,9 @@
 
 SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
 benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
-DuckDB oracle sees identical input.
+DuckDB oracle sees identical input. The frames are checkpointed, as in
+``Dataset.to_spark``: a ``createDataFrame`` frame embeds its rows in
+the plan, and every job on it would ship them inside its tasks.
 """
 import numpy as np
 import pandas as pd
@@ -38,7 +40,7 @@ def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFra
             + pd.to_timedelta(g.integers(0, 2557, n), unit="D"),
         }
     )
-    return spark.createDataFrame(pdf)
+    return spark.createDataFrame(pdf).localCheckpoint()
 
 
 def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
@@ -58,5 +60,5 @@ def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame
             ),
         }
     )
-    return spark.createDataFrame(pdf)
+    return spark.createDataFrame(pdf).localCheckpoint()
 

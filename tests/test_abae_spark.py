@@ -162,10 +162,24 @@ def _reference_sample(stratified, n_budget, k, seed):
     ]
 
 
-def _assert_same_sample(res, ref):
+def _assert_same_sample(res, ref, n_budget):
+    """The query's result is Algorithm 1 over the reference ranking
+    ``ref``: the same rows and labels, the Stage-1 estimates of the
+    first N₁/K ranks, their allocation, the final estimates of the
+    samples, the calls and the estimate."""
     for (v, l), (rv, rl) in zip(res.samples, ref):
         np.testing.assert_array_equal(v, rv)
         np.testing.assert_array_equal(l, rl)
+    n1_per, _ = split_budget(n_budget, len(ref), 0.5)
+    pilot = [plugin_estimates(v[:n1_per], l[:n1_per]) for v, l in ref]
+    assert res.stage1 == pilot
+    np.testing.assert_array_equal(
+        res.allocation,
+        optimal_allocation(
+            np.array([e.p_hat for e in pilot]), np.array([e.sigma_hat for e in pilot])
+        ),
+    )
+    assert res.final == [plugin_estimates(v, l) for v, l in res.samples]
     assert res.oracle_calls == sum(v.size for v, _ in ref)
     final = [plugin_estimates(v, l) for v, l in ref]
     assert res.estimate == combine(
@@ -192,7 +206,7 @@ class TestSampleIdentity:
     def test_abae_matches_unfiltered_ranking(self, ns_df, n_budget, seed):
         oracle = SimulatedOracle("label")
         res = abae_query(ns_df, n_budget=n_budget, oracle=oracle, seed=seed)
-        _assert_same_sample(res, _reference_abae(ns_df, n_budget, 5, seed))
+        _assert_same_sample(res, _reference_abae(ns_df, n_budget, 5, seed), n_budget)
 
     @pytest.mark.parametrize(
         "keep",
@@ -207,7 +221,7 @@ class TestSampleIdentity:
         )
         oracle = SimulatedOracle("label")
         res = abae_query(ns_df, n_budget=2000, oracle=oracle, seed=5)
-        _assert_same_sample(res, _reference_abae(ns_df, 2000, 5, 5))
+        _assert_same_sample(res, _reference_abae(ns_df, 2000, 5, 5), 2000)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_uniform_matches_global_window(self, ns_df, seed):
@@ -243,7 +257,7 @@ class TestWindowStrataIdentity:
             )
         stratum = F.ntile(5).over(Window.orderBy("proxy", "id")) - 1
         ref = _reference_sample(ns_big_df.withColumn("stratum", stratum), n_budget, 5, seed)
-        _assert_same_sample(res, ref)
+        _assert_same_sample(res, ref, n_budget)
         assert res.ci == bootstrap_ci(ref, np.random.default_rng(seed + 7), n_boot=200)
 
     def test_no_stage_runs_shuffle_partitions_tasks(self, spark, ns_big_df):

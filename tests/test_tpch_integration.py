@@ -53,7 +53,7 @@ def li_pdf(spark):
 
 @pytest.fixture(scope="module")
 def li_df(spark, li_pdf):
-    df = spark.createDataFrame(li_pdf).persist()
+    df = spark.createDataFrame(li_pdf).localCheckpoint().persist()
     df.count()
     yield df
     df.unpersist()
