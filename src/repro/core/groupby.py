@@ -46,6 +46,7 @@ from repro.core.sampler import (
     split_budget,
     stage2_extents,
 )
+from repro.core.stratify import _by_stratum, stratify_indices
 from repro.optimize.nelder_mead import minimize_on_simplex
 
 
@@ -72,17 +73,13 @@ class GroupByData:
 def build_groupby_data(pdf, proxy_cols: list[str], k: int) -> GroupByData:
     """Build :class:`GroupByData` from a surrogate dataset frame with
     ``value``, ``group`` and per-group proxy columns."""
-    from repro.core.stratify import stratify_indices
-
     values = pdf["value"].to_numpy(dtype=float)
     groups = pdf["group"].to_numpy(dtype=np.int64)
     ids = pdf["id"].to_numpy(dtype=np.int64)
-    strata = []
-    for col in proxy_cols:
-        s = stratify_indices(pdf[col].to_numpy(), k, ids=ids)
-        strata.append(
-            [(values[s == i], groups[s == i], ids[s == i]) for i in range(k)]
-        )
+    strata = [
+        _by_stratum(stratify_indices(pdf[col].to_numpy(), k, ids=ids), k, values, groups, ids)
+        for col in proxy_cols
+    ]
     return GroupByData(strata=strata, n_groups=len(proxy_cols))
 
 

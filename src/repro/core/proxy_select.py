@@ -22,8 +22,8 @@ import numpy as np
 
 from repro.core.allocation import optimal_mse
 from repro.core.estimator import true_strata_params
-from repro.core.sampler import TrialResult, abae_stage2
-from repro.core.stratify import strata_arrays, stratify_indices
+from repro.core.sampler import TrialResult, abae_stage2, prefix_draw
+from repro.core.stratify import _by_stratum, strata_arrays, stratify_indices
 from repro.optimize.logistic import LogisticModel, fit_logistic
 
 
@@ -140,23 +140,14 @@ def combined_proxy_trial(
     cp = combine_proxies({c: np.asarray(s)[pilot] for c, s in scores.items()}, labels[pilot])
     stratum = stratify_indices(cp.score(scores), k)
 
-    in_pilot = np.zeros(n, dtype=bool)
-    in_pilot[pilot] = True
-    stage1 = []
-    for i in range(k):
-        sel = pilot[stratum[pilot] == i]
-        stage1.append((values[sel], labels[sel]))
+    stage1 = _by_stratum(stratum[pilot], k, values[pilot], labels[pilot])
+    rest = np.delete(np.arange(n), pilot)
+    outside = _by_stratum(stratum[rest], k, values[rest], labels[rest])
 
     def draw(lo: np.ndarray, hi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Stage 2: uniform draws from the stratum's records outside the
-        pilot (ranks past the pilot's in a uniformly random order)."""
-        out = []
-        for i in range(k):
-            rest = np.where((stratum == i) & ~in_pilot)[0]
-            n2_i = hi[i] - lo[i]
-            take = rng.choice(rest, size=n2_i, replace=False) if n2_i else rest[:0]
-            out.append((values[take], labels[take]))
-        return out
+        """Stage 2: ranks past the pilot's are a uniformly random order
+        of the stratum's records outside the pilot."""
+        return prefix_draw(outside, rng, hi - lo)(np.zeros_like(lo), hi - lo)
 
     sizes = np.bincount(stratum, minlength=k)
     return abae_stage2(stage1, sizes, n_budget - m, draw)

@@ -17,9 +17,10 @@ ordered sample per stratum, just deep enough for both stages
 (:func:`prefix_draw`), the Spark query
 (``core.abae``) filters a seeded ``xxhash64`` rank, and the
 combined-proxy trial (``core.proxy_select``) brings its own pilot to
-:func:`abae_stage2`. The group-by trials (``core.groupby``) couple
-several stratifications and use the same helpers around their own
-budget split.
+:func:`abae_stage2` and draws Stage 2 with :func:`prefix_draw` over
+each stratum's records outside the pilot. The group-by trials
+(``core.groupby``) couple several stratifications and use the same
+helpers around their own budget split.
 
 Baselines: ``uniform_trial`` (the paper's main comparison) and
 ``abae_trial(..., reuse=False)`` (the Fig. 9 lesion).
@@ -90,14 +91,15 @@ def check_pilot_budget(n_budget: int, k: int) -> None:
 
 
 def prefix_draw(
-    strata: list[tuple[np.ndarray, ...]], rng: np.random.Generator, depth: int
+    strata: list[tuple[np.ndarray, ...]], rng: np.random.Generator, depth: int | np.ndarray
 ) -> Draw:
     """A :data:`Draw` over in-memory strata: each stratum's sampling
     order begins with one uniformly random ordered sample of
     min(|D_k|, ``depth``) of its records, drawn without replacement, so
     ranks (lo_k, hi_k] are a slice of it and the stages draw without
-    replacement. ``depth`` is the deepest rank any stage will ask for;
-    a draw costs O(depth) random numbers per stratum, not O(|D_k|).
+    replacement. ``depth`` (one for all strata, or one per stratum) is
+    the deepest rank any stage will ask for; a draw costs O(depth)
+    random numbers per stratum, not O(|D_k|), and none at depth 0.
 
     ``strata[k]`` is a tuple of equally long arrays (e.g. values and
     labels); the draw returns the same tuple restricted to the ranks.

@@ -101,10 +101,15 @@ def strata_arrays(
     This is the input format of the Monte-Carlo sampling kernels: a
     list of ``(values_k, labels_k)`` tuples ordered by stratum index.
     """
-    s = stratify_indices(scores, k, ids)
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
-    return [(values[s == i], labels[s == i]) for i in range(k)]
+    return _by_stratum(stratify_indices(scores, k, ids), k, values, labels)
+
+
+def _by_stratum(s: np.ndarray, k: int, *arrays: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """``arrays`` split by the stratum ``s`` of each row into K tuples,
+    ordered by stratum index; each keeps its rows in their given order."""
+    return [tuple(a[m] for a in arrays) for m in (s == i for i in range(k))]
 
 
 def _double(x: float) -> str:
@@ -121,7 +126,6 @@ def stratify_frame(
     *,
     proxy_col: str = "proxy",
     id_col: str = "id",
-    out_col: str = "stratum",
 ) -> tuple[DataFrame, np.ndarray]:
     """:func:`add_stratum`'s frame, and the rows of each stratum, |D_k|.
 
@@ -143,7 +147,7 @@ def stratify_frame(
             stacklevel=3,
         )
         w = Window.orderBy(F.col(proxy_col), F.col(id_col))
-        return df.withColumn(out_col, F.ntile(k).over(w) - 1), sizes
+        return df.withColumn("stratum", F.ntile(k).over(w) - 1), sizes
 
     aggs = ["count(1) AS n", f"count({p}) AS n_proxy"]
     if k > 1:
@@ -162,7 +166,7 @@ def stratify_frame(
     starts = np.cumsum(sizes)[:-1]
     live = [b for b in range(1, k) if starts[b - 1] < n]
     if not live:
-        return df.withColumn(out_col, F.lit(0)), sizes
+        return df.withColumn("stratum", F.lit(0)), sizes
     if 4 * n < (k + 4) * _ACCURACY:
         # The bracket holds a key only when its margin beyond the
         # summary's error, |D|/A rows, covers the distance between rank
@@ -200,7 +204,7 @@ def stratify_frame(
     cases = " ".join(
         f"WHEN {p} > {kp} OR ({p} = {kp} AND {i} >= {ki}) THEN {b}" for b, kp, ki in keys[::-1]
     )
-    return df.withColumn(out_col, F.expr(f"CASE {cases} ELSE 0 END")), sizes
+    return df.withColumn("stratum", F.expr(f"CASE {cases} ELSE 0 END")), sizes
 
 
 def add_stratum(
@@ -209,7 +213,6 @@ def add_stratum(
     *,
     proxy_col: str = "proxy",
     id_col: str = "id",
-    out_col: str = "stratum",
 ) -> DataFrame:
     """Exact quantile stratification: ``ntile(k)`` ordered by
     (proxy, id), emitted 0-based to match ``stratify_indices``. The
@@ -219,4 +222,4 @@ def add_stratum(
     Raises:
         ValueError: if ``k`` < 1, or if ``proxy_col`` holds nulls.
     """
-    return stratify_frame(df, k, proxy_col=proxy_col, id_col=id_col, out_col=out_col)[0]
+    return stratify_frame(df, k, proxy_col=proxy_col, id_col=id_col)[0]

@@ -483,27 +483,19 @@ def table_fig12(
 def table2_datasets(scale: float = 0.1) -> pd.DataFrame:
     """Table 2: dataset inventory — paper sizes vs surrogate sizes,
     predicate positive rates, and oracle/proxy substitutions."""
-    meta = {
-        "night_street": ("At least one car", "Mask R-CNN", "TASTI"),
-        "taipei": ("At least one car", "Mask R-CNN", "TASTI"),
-        "celeba": ("Blonde hair", "Human labels", "MobileNetV2"),
-        "amazon_posters": ("Contains woman", "MT-CNN+VGGFace", "MobileNetV2"),
-        "trec05p": ("Is spam", "Human labels", "Keyword-based"),
-        "amazon_office": ("Strong positive sentiment", "FlairNLP BERT", "NLTK"),
-    }
     rows = []
-    for name, (pred, target, proxy) in meta.items():
+    for name, entry in D.TABLE2.items():
         ds = D.load(name, scale=scale)
         rows.append(
             {
                 "table": "table2",
                 "dataset": name,
-                "paper_size": D.PAPER_SIZES[name],
+                "paper_size": entry.paper_size,
                 "surrogate_size": len(ds.pdf),
                 "positive_rate": float(ds.pdf["label"].mean()),
-                "predicate": pred,
-                "paper_target_dnn": target,
-                "paper_proxy": proxy,
+                "predicate": entry.predicate,
+                "paper_target_dnn": entry.paper_oracle,
+                "paper_proxy": entry.paper_proxy,
                 "ground_truth_mu": ds.ground_truth(),
             }
         )

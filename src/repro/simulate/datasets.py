@@ -10,13 +10,16 @@ statistic family, and a per-dataset proxy quality (good TASTI/MobileNet
 proxies vs weak keyword/NLTK rules). See DESIGN.md §2 for the
 substitution argument.
 
-Every generator is deterministic in ``seed`` so the DuckDB oracle sees
-identical input, and returns a :class:`Dataset` that can materialize a
-Spark DataFrame, per-stratum numpy arrays for the Monte-Carlo kernels,
-and the exhaustive ground truth.
+:data:`TABLE2` holds the six Table-2 datasets, built by :func:`load`.
+Seeds are fixed there and in each synthetic set's builder, not set per
+call, so the DuckDB oracle sees identical input. Every builder returns a
+:class:`Dataset` that can materialize a Spark DataFrame, per-stratum
+numpy arrays for the Monte-Carlo kernels, and the exhaustive ground
+truth.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,19 +34,6 @@ from repro.simulate.proxies import (
     noisy_proxy,
     sigmoid,
 )
-
-# Paper record counts (Table 2).
-PAPER_SIZES = {
-    "night_street": 973_136,
-    "taipei": 1_187_850,
-    "celeba": 202_599,
-    "amazon_posters": 35_815,
-    "trec05p": 52_578,
-    "amazon_office": 800_144,
-}
-
-#: The six real-world surrogates evaluated in Figs. 2–5, 9–11.
-REAL_WORLD = tuple(PAPER_SIZES)
 
 
 @dataclass
@@ -108,16 +98,106 @@ class Dataset:
         return self.pdf["value"].to_numpy(dtype=float), self.pdf["label"].to_numpy()
 
 
+# ---------------------------------------------------------------------------
+# The six Table-2 surrogates
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Table2Entry:
+    """One Table-2 dataset. The first four fields are the paper's
+    columns: record count, predicate, oracle and proxy. The rest draw
+    its surrogate: the seed, the predicate's positive rate (met in
+    expectation), the std of the proxy's logit noise and of the latent
+    logit (see :func:`_base_frame`), and the statistic f(x) of (latent,
+    label, rng), drawn after the label and the proxy. The surrogate at
+    ``scale`` has max(2,000, ⌊paper_size·scale⌋) rows."""
+
+    paper_size: int
+    predicate: str
+    paper_oracle: str
+    paper_proxy: str
+    seed: int
+    positive_rate: float
+    proxy_noise: float
+    latent_scale: float
+    statistic: Callable[[np.ndarray, np.ndarray, np.random.Generator], np.ndarray]
+
+
+def _cars(base: float):
+    """AVG(count_cars) WHERE count_cars > 0: a car count ≥ 1 among
+    positives, higher in busier frames, which score higher on the proxy."""
+    return lambda lat, label, rng: np.where(
+        label == 1, 1 + rng.poisson(base + 4.0 * sigmoid(lat)), 0
+    ).astype(float)
+
+
+#: The paper's Table 2, by dataset name.
+TABLE2 = {
+    # night-street (jackson), good TASTI proxy.
+    "night_street": Table2Entry(
+        973_136, "At least one car", "Mask R-CNN", "TASTI",
+        seed=101, positive_rate=0.05, proxy_noise=0.2, latent_scale=3.0, statistic=_cars(0.3),
+    ),
+    # The same query over a busier intersection: a higher positive rate
+    # and higher car counts.
+    "taipei": Table2Entry(
+        1_187_850, "At least one car", "Mask R-CNN", "TASTI",
+        seed=102, positive_rate=0.15, proxy_noise=0.3, latent_scale=3.0, statistic=_cars(1.0),
+    ),
+    # PERCENTAGE(is_smiling) WHERE hair = blonde (100·AVG of the 0/1
+    # value); blonde rate ≈ 15 % as in CelebA. Smiling correlates with
+    # the latent.
+    "celeba": Table2Entry(
+        202_599, "Blonde hair", "Human labels", "MobileNetV2",
+        seed=103, positive_rate=0.15, proxy_noise=0.3, latent_scale=3.0,
+        statistic=lambda lat, label, rng: (
+            rng.random(lat.shape) < sigmoid(0.25 + 0.2 * lat)
+        ).astype(float),
+    ),
+    # AVG(rating) WHERE face ∧ female: 1..5, skewed high as in Amazon
+    # reviews. The mean drifts mildly with the latent (posters with
+    # clearer faces skew toward certain genres/ratings).
+    "amazon_posters": Table2Entry(
+        35_815, "Contains woman", "MT-CNN+VGGFace", "MobileNetV2",
+        seed=104, positive_rate=0.10, proxy_noise=0.8, latent_scale=2.5,
+        statistic=lambda lat, label, rng: np.clip(
+            np.round(rng.normal(3.2 + 1.4 * sigmoid(lat), 1.0)), 1.0, 5.0
+        ),
+    ),
+    # AVG(nb_links) WHERE is_spam, weak keyword proxy (high noise). Link
+    # counts are heavy-tailed and much larger for spam; the spam counts
+    # are drawn before the ham counts.
+    "trec05p": Table2Entry(
+        52_578, "Is spam", "Human labels", "Keyword-based",
+        seed=105, positive_rate=0.25, proxy_noise=1.5, latent_scale=2.0,
+        statistic=lambda lat, label, rng: np.where(
+            label == 1, rng.poisson(6.0 + 6.0 * sigmoid(lat)), rng.poisson(1.0, lat.shape)
+        ).astype(float),
+    ),
+    # AVG(rating) WHERE sentiment = strongly positive. Ratings are high
+    # and near-independent of the sentiment latent (strongly-positive
+    # reviews rate 4–5 regardless of how confident the rule-based proxy
+    # is), so ABAE's gain here comes from the p_k concentration alone —
+    # the weakest-proxy dataset, as in the paper.
+    "amazon_office": Table2Entry(
+        800_144, "Strong positive sentiment", "FlairNLP BERT", "NLTK",
+        seed=106, positive_rate=0.20, proxy_noise=0.8, latent_scale=2.5,
+        statistic=lambda lat, label, rng: np.clip(
+            np.round(rng.normal(4.2, 0.9, lat.shape)), 1.0, 5.0
+        ),
+    ),
+}
+
+#: The six real-world surrogates evaluated in Figs. 2–5, 9–11.
+REAL_WORLD = tuple(TABLE2)
+
+
 def _n(name: str, scale: float) -> int:
-    return max(2_000, int(PAPER_SIZES[name] * scale))
+    return max(2_000, int(TABLE2[name].paper_size * scale))
 
 
 def _base_frame(
-    n: int,
-    positive_rate: float,
-    proxy_noise: float,
-    rng: np.random.Generator,
-    latent_scale: float = 1.5,
+    n: int, positive_rate: float, proxy_noise: float, rng: np.random.Generator, latent_scale: float
 ) -> tuple[pd.DataFrame, np.ndarray]:
     """Common latent-logit construction: returns (frame, latent).
 
@@ -136,125 +216,20 @@ def _base_frame(
     return pdf, latent
 
 
-# ---------------------------------------------------------------------------
-# The six Table-2 surrogates
-# ---------------------------------------------------------------------------
-
-def night_street(*, scale: float = 0.02, seed: int = 101) -> Dataset:
-    """night-street (jackson): AVG(count_cars) WHERE count_cars > 0.
-
-    Mask R-CNN oracle, TASTI proxy (good). Statistic = car count ≥ 1
-    among positives, correlated with the latent (busier frames score
-    higher on the proxy).
-    """
+def _table2(name: str, scale: float, seed: int) -> Dataset:
+    """The :data:`TABLE2` surrogate ``name`` at ``scale``, drawn from ``seed``."""
+    entry = TABLE2[name]
     rng = np.random.default_rng(seed)
-    n = _n("night_street", scale)
     pdf, latent = _base_frame(
-        n, positive_rate=0.05, proxy_noise=0.2, rng=rng, latent_scale=3.0
+        _n(name, scale), entry.positive_rate, entry.proxy_noise, rng, entry.latent_scale
     )
-    lam = 0.3 + 4.0 * sigmoid(latent)
-    count = 1 + rng.poisson(lam)
-    pdf["value"] = np.where(pdf["label"] == 1, count, 0).astype(float)
-    return Dataset("night_street", pdf)
-
-
-def taipei(*, scale: float = 0.02, seed: int = 102) -> Dataset:
-    """taipei: same query as night-street over a busier intersection
-    (higher positive rate, higher car counts)."""
-    rng = np.random.default_rng(seed)
-    n = _n("taipei", scale)
-    pdf, latent = _base_frame(
-        n, positive_rate=0.15, proxy_noise=0.3, rng=rng, latent_scale=3.0
-    )
-    lam = 1.0 + 4.0 * sigmoid(latent)
-    count = 1 + rng.poisson(lam)
-    pdf["value"] = np.where(pdf["label"] == 1, count, 0).astype(float)
-    return Dataset("taipei", pdf)
-
-
-def celeba(*, scale: float = 0.02, seed: int = 103) -> Dataset:
-    """celeba: PERCENTAGE(is_smiling) WHERE hair = blonde.
-
-    Human-label oracle, specialized MobileNetV2 proxy. Statistic is
-    binary (smiling) so PERCENTAGE == 100·AVG; we keep the 0/1 value
-    and report the fraction. Blonde rate ≈ 15% as in CelebA.
-    """
-    rng = np.random.default_rng(seed)
-    n = _n("celeba", scale)
-    pdf, latent = _base_frame(
-        n, positive_rate=0.15, proxy_noise=0.3, rng=rng, latent_scale=3.0
-    )
-    p_smile = sigmoid(0.25 + 0.2 * latent)  # smiling correlates with the latent
-    pdf["value"] = (rng.random(n) < p_smile).astype(float)
-    return Dataset("celeba", pdf)
-
-
-def amazon_posters(*, scale: float = 0.02, seed: int = 104) -> Dataset:
-    """Amazon movie posters: AVG(rating) WHERE face ∧ female.
-
-    MT-CNN + VGGFace oracle, MobileNetV2 proxy. Rating in 1..5, skewed
-    high as in Amazon reviews.
-    """
-    rng = np.random.default_rng(seed)
-    n = _n("amazon_posters", scale)
-    pdf, latent = _base_frame(
-        n, positive_rate=0.10, proxy_noise=0.8, rng=rng, latent_scale=2.5
-    )
-    # Rating mean drifts mildly with the latent (posters with clearer
-    # faces skew toward certain genres/ratings).
-    mean_rating = 3.2 + 1.4 * sigmoid(latent)
-    pdf["value"] = np.clip(np.round(rng.normal(mean_rating, 1.0)), 1.0, 5.0)
-    return Dataset("amazon_posters", pdf)
-
-
-def trec05p(*, scale: float = 0.02, seed: int = 105) -> Dataset:
-    """trec05p (SPAM25): AVG(nb_links) WHERE is_spam.
-
-    Human-label oracle, weak keyword proxy (high noise). Link counts
-    are heavy-tailed and much larger for spam.
-    """
-    rng = np.random.default_rng(seed)
-    n = _n("trec05p", scale)
-    pdf, latent = _base_frame(
-        n, positive_rate=0.25, proxy_noise=1.5, rng=rng, latent_scale=2.0
-    )
-    links_spam = rng.poisson(6.0 + 6.0 * sigmoid(latent))
-    links_ham = rng.poisson(1.0, n)
-    pdf["value"] = np.where(pdf["label"] == 1, links_spam, links_ham).astype(float)
-    return Dataset("trec05p", pdf)
-
-
-def amazon_office(*, scale: float = 0.02, seed: int = 106) -> Dataset:
-    """Amazon office supplies: AVG(rating) WHERE sentiment = strongly
-    positive. BERT oracle, NLTK/VADER rule proxy (weak). Ratings among
-    strongly-positive reviews concentrate at 5.
-    """
-    rng = np.random.default_rng(seed)
-    n = _n("amazon_office", scale)
-    pdf, latent = _base_frame(
-        n, positive_rate=0.20, proxy_noise=0.8, rng=rng, latent_scale=2.5
-    )
-    # Ratings are high and near-independent of the sentiment latent
-    # (strongly-positive reviews rate 4–5 regardless of how confident
-    # the rule-based proxy is), so ABAE's gain here comes from the p_k
-    # concentration alone — the weakest-proxy dataset, as in the paper.
-    pdf["value"] = np.clip(np.round(rng.normal(4.2, 0.9, n)), 1.0, 5.0)
-    return Dataset("amazon_office", pdf)
-
-
-_REAL = {
-    "night_street": night_street,
-    "taipei": taipei,
-    "celeba": celeba,
-    "amazon_posters": amazon_posters,
-    "trec05p": trec05p,
-    "amazon_office": amazon_office,
-}
+    pdf["value"] = entry.statistic(latent, pdf["label"].to_numpy(), rng)
+    return Dataset(name, pdf)
 
 
 def load(name: str, *, scale: float = 0.02) -> Dataset:
     """Load a Table-2 surrogate by name at the given scale."""
-    return _REAL[name](scale=scale)
+    return _table2(name, scale, TABLE2[name].seed)
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +246,16 @@ def _both(pdf: pd.DataFrame, prefix: str) -> np.ndarray:
     return _BOTH.evaluate({j: pdf[f"{prefix}_{j}"].to_numpy() for j in "01"})
 
 
-def night_street_multipred(*, scale: float = 0.02, seed: int = 201) -> Dataset:
+def night_street_multipred(*, scale: float = 0.02) -> Dataset:
     """night-street with a second predicate: cars>0 AND red_light.
 
     Joint positive rate ≈ 0.17 as reported in §5.2; the two predicates
     are independent with a proxy each (``proxy_0``: cars, ``proxy_1``:
     red light, from an embedding index).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(201)
     n = _n("night_street", scale)
-    pdf, latent_a = _base_frame(
-        n, positive_rate=0.40, proxy_noise=0.3, rng=rng, latent_scale=2.5
-    )
+    pdf, latent_a = _base_frame(n, positive_rate=0.40, proxy_noise=0.3, rng=rng, latent_scale=2.5)
     pdf = pdf.rename(columns={"proxy": "proxy_0", "label": "label_0"})
     latent_b = rng.normal(0.0, 2.5, n)
     b2 = calibrate_intercept(latent_b, 0.425)
@@ -297,7 +270,7 @@ def night_street_multipred(*, scale: float = 0.02, seed: int = 201) -> Dataset:
     )
 
 
-def synthetic_multipred(*, n: int = 50_000, k: int = 5, seed: int = 202) -> Dataset:
+def synthetic_multipred(*, n: int = 50_000) -> Dataset:
     """Fig. 6's synthetic set: five strata, two predicates; per-proxy
     stratum positive rates drawn from a Beta distribution.
 
@@ -306,7 +279,8 @@ def synthetic_multipred(*, n: int = 50_000, k: int = 5, seed: int = 202) -> Data
     proxy reports the stratum's p — a calibrated proxy, making the
     product rule's combined score the exact joint probability.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(202)
+    k = 5
     pdf = pd.DataFrame({"id": np.arange(n, dtype=np.int64)})
     strat = []
     for j in range(2):
@@ -332,15 +306,17 @@ def _groupby_from_scores(
 ) -> pd.DataFrame:
     """Assign disjoint groups: candidate g fires ~ Bern(scores[:, g]);
     ties broken uniformly; no candidate → group −1 (matches "predicate
-    generated as a Bernoulli with the proxy probability")."""
+    generated as a Bernoulli with the proxy probability"). A row where
+    c > 1 fired takes the r-th of them, r ~ U{0, …, c − 1}, drawn in row
+    order."""
     n, g = scores.shape
     fired = rng.random((n, g)) < scores
-    group = np.full(n, -1, dtype=np.int64)
     n_fired = fired.sum(axis=1)
-    rows = np.where(n_fired > 0)[0]
-    for i in rows:
-        cands = np.where(fired[i])[0]
-        group[i] = cands[rng.integers(0, cands.size)] if cands.size > 1 else cands[0]
+    r = np.zeros(n, dtype=np.int64)
+    tied = n_fired > 1
+    r[tied] = rng.integers(0, n_fired[tied])
+    chosen = np.argmax(fired.cumsum(axis=1) > r[:, None], axis=1)
+    group = np.where(n_fired > 0, chosen, -1).astype(np.int64)
     pdf = pd.DataFrame({"id": np.arange(n, dtype=np.int64), "group": group, "value": values})
     for j in range(g):
         pdf[f"proxy_{j}"] = scores[:, j]
@@ -348,21 +324,18 @@ def _groupby_from_scores(
     return pdf
 
 
-def celeba_groupby(*, scale: float = 0.02, seed: int = 301) -> Dataset:
+def celeba_groupby(*, scale: float = 0.02) -> Dataset:
     """celeba group-by: PERCENTAGE(smiling) GROUP BY hair ∈ {gray, blond}.
 
     Gray ≈ 4%, blond ≈ 15% (CelebA attribute rates); per-group
     MobileNet-grade proxies.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(301)
     n = _n("celeba", scale)
     rates = (0.04, 0.15)
     lat = rng.normal(0.0, 3.0, (n, 2))
     scores = np.column_stack(
-        [
-            sigmoid(lat[:, j] + calibrate_intercept(lat[:, j], rates[j]))
-            for j in range(2)
-        ]
+        [sigmoid(lat[:, j] + calibrate_intercept(lat[:, j], rates[j])) for j in range(2)]
     )
     values = (rng.random(n) < 0.5).astype(float)
     pdf = _groupby_from_scores(scores, rng, values)
@@ -388,10 +361,8 @@ def _synthetic_groupby(
     )
     base = rng.normal(0.0, sd, n)
     pdf = _groupby_from_scores(scores, rng, base)
-    shift = np.zeros(n)
-    m = pdf["group"].to_numpy() >= 0
-    shift[m] = np.asarray(mus)[pdf["group"].to_numpy()[m]]
-    pdf["value"] = base + shift
+    group = pdf["group"].to_numpy()
+    pdf["value"] = base + np.where(group >= 0, np.asarray(mus)[group], 0.0)
     return Dataset(
         name,
         pdf,
@@ -400,7 +371,7 @@ def _synthetic_groupby(
     )
 
 
-def synthetic_groupby_single(*, n: int = 100_000, seed: int = 302) -> Dataset:
+def synthetic_groupby_single(*, n: int = 100_000) -> Dataset:
     """Fig. 7 synthetic set: 4 groups with positive rates 3.3%, 3.3%,
     3.4%, 3.5%; normal statistic; Bernoulli predicate with the proxy as
     the probability (single group-key oracle).
@@ -411,27 +382,17 @@ def synthetic_groupby_single(*, n: int = 100_000, seed: int = 302) -> Dataset:
     construction targets.
     """
     return _synthetic_groupby(
-        "synthetic_groupby_single",
-        n,
-        seed,
-        rates=(0.033, 0.033, 0.034, 0.035),
-        beta_a=0.05,
-        mus=(10.0, 12.0, 8.0, 11.0),
-        sd=2.0,
+        "synthetic_groupby_single", n, 302, rates=(0.033, 0.033, 0.034, 0.035), beta_a=0.05,
+        mus=(10.0, 12.0, 8.0, 11.0), sd=2.0,
     )
 
 
-def synthetic_groupby_multi(*, n: int = 100_000, seed: int = 303) -> Dataset:
+def synthetic_groupby_multi(*, n: int = 100_000) -> Dataset:
     """Fig. 8 synthetic set: 4 groups with positive rates 16%, 12%, 9%,
     5% (one oracle per group)."""
     return _synthetic_groupby(
-        "synthetic_groupby_multi",
-        n,
-        seed,
-        rates=(0.16, 0.12, 0.09, 0.05),
-        beta_a=0.5,
-        mus=(5.0, 7.0, 3.0, 9.0),
-        sd=1.5,
+        "synthetic_groupby_multi", n, 303, rates=(0.16, 0.12, 0.09, 0.05), beta_a=0.5,
+        mus=(5.0, 7.0, 3.0, 9.0), sd=1.5,
     )
 
 
@@ -439,47 +400,40 @@ def synthetic_groupby_multi(*, n: int = 100_000, seed: int = 303) -> Dataset:
 # Proxy-combination datasets (Fig. 12)
 # ---------------------------------------------------------------------------
 
-def trec05p_proxies(*, scale: float = 0.02, seed: int = 401, n_proxies: int = 4) -> Dataset:
+#: Fig. 12's proxy columns: the summary ``proxy``, then the candidates.
+_FIG12_PROXIES = ("proxy", "proxy_0", "proxy_1", "proxy_2", "proxy_3")
+
+
+def _add_fig12_proxies(pdf: pd.DataFrame, view, sd: float, rng: np.random.Generator) -> None:
+    """Add Fig. 12's candidates to ``pdf``: ``proxy_0..2`` are ``view``
+    of N(0, sd) noise and ``proxy_3`` is uniform junk. The three views
+    have comparable quality, so no single one dominates and the logistic
+    merge (which averages their noise and zeroes the junk one) beats
+    each individually — the Fig. 12 regime."""
+    n = len(pdf)
+    for j in range(3):
+        pdf[f"proxy_{j}"] = view(rng.normal(0, sd, n))
+    pdf["proxy_3"] = rng.random(n)
+
+
+def trec05p_proxies(*, scale: float = 0.02) -> Dataset:
     """trec05p with several keyword proxies of varying quality (e.g.
     "money", "$", "please") plus one uninformative proxy; Fig. 12 shows
     logistic combination beats any single proxy and ignores junk."""
-    rng = np.random.default_rng(seed)
-    ds = trec05p(scale=scale, seed=seed + 1)
-    pdf = ds.pdf
-    n = len(pdf)
-    latent = np.log(pdf["proxy"] / (1 - pdf["proxy"]))  # recover a latent view
-    # Comparable-quality keyword rules: no single keyword dominates, so
-    # the logistic merge (which averages their noise and zeroes the
-    # junk one) beats each individually — the Fig. 12 regime.
-    noises = [2.0, 2.0, 2.0]
-    cols = []
-    for j, s in enumerate(noises[: n_proxies - 1]):
-        pdf[f"proxy_{j}"] = sigmoid(latent + rng.normal(0, s, n))
-        cols.append(f"proxy_{j}")
-    pdf[f"proxy_{n_proxies - 1}"] = rng.random(n)  # junk proxy
-    cols.append(f"proxy_{n_proxies - 1}")
-    return Dataset("trec05p_proxies", pdf, proxy_cols=tuple(["proxy"] + cols))
+    pdf = _table2("trec05p", scale, seed=402).pdf
+    latent = np.log(pdf["proxy"] / (1 - pdf["proxy"])).to_numpy()  # recover a latent view
+    _add_fig12_proxies(pdf, lambda e: sigmoid(latent + e), 2.0, np.random.default_rng(401))
+    return Dataset("trec05p_proxies", pdf, proxy_cols=_FIG12_PROXIES)
 
 
-def synthetic_combine(*, n: int = 50_000, seed: int = 402, n_proxies: int = 4) -> Dataset:
-    """Fig. 12 synthetic set: labels ~ Bernoulli(q); each proxy is q
-    plus noise of varying scale (last one pure noise)."""
-    rng = np.random.default_rng(seed)
+def synthetic_combine(*, n: int = 50_000) -> Dataset:
+    """Fig. 12 synthetic set: labels ~ Bernoulli(q); three proxies are
+    q plus N(0, 0.3) noise, the last one pure noise."""
+    rng = np.random.default_rng(402)
     q = rng.beta(1.0, 3.0, n)
     label = (rng.random(n) < q).astype(np.int64)
-    pdf = pd.DataFrame(
-        {
-            "id": np.arange(n, dtype=np.int64),
-            "label": label,
-            "value": rng.normal(3.0 + 4.0 * q, 1.0),
-        }
-    )
-    noises = [0.3, 0.3, 0.3]
-    cols = []
-    for j, s in enumerate(noises[: n_proxies - 1]):
-        pdf[f"proxy_{j}"] = np.clip(q + rng.normal(0, s, n), 0.0, 1.0)
-        cols.append(f"proxy_{j}")
-    pdf[f"proxy_{n_proxies - 1}"] = rng.random(n)
-    cols.append(f"proxy_{n_proxies - 1}")
+    value = rng.normal(3.0 + 4.0 * q, 1.0)
+    pdf = pd.DataFrame({"id": np.arange(n, dtype=np.int64), "label": label, "value": value})
+    _add_fig12_proxies(pdf, lambda e: np.clip(q + e, 0.0, 1.0), 0.3, rng)
     pdf["proxy"] = pdf["proxy_0"]
-    return Dataset("synthetic_combine", pdf, proxy_cols=tuple(["proxy"] + cols))
+    return Dataset("synthetic_combine", pdf, proxy_cols=_FIG12_PROXIES)

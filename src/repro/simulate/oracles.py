@@ -101,14 +101,14 @@ class SimulatedOracle:
             self._udf = _oracle
         return self._udf
 
-    def apply(self, df, out_col: str = "oracle_label"):
-        """Apply the oracle to a (sampled!) DataFrame, adding ``out_col``.
+    def apply(self, df):
+        """Apply the oracle to a (sampled!) DataFrame, adding ``oracle_label``.
 
         Applying this to the full dataset defeats the paper's purpose;
         tests assert via ``calls`` that only sampled rows are labeled.
         """
         udf = self.spark_udf(df.sparkSession)
-        return df.withColumn(out_col, udf(F.col(self.label_col)))
+        return df.withColumn("oracle_label", udf(F.col(self.label_col)))
 
     @property
     def calls(self) -> int:

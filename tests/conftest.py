@@ -22,7 +22,7 @@ def real_datasets() -> dict[str, D.Dataset]:
 
 @pytest.fixture(scope="session")
 def night_street() -> D.Dataset:
-    return D.night_street(scale=TEST_SCALE)
+    return D.load("night_street", scale=TEST_SCALE)
 
 
 @pytest.fixture(scope="session")

@@ -37,7 +37,7 @@ def ns_df(spark, night_street):
 def ns_big_df(spark):
     """night_street at 48,657 rows, large enough for bracketed strata
     keys (a smaller frame collects its (proxy, id) pairs whole)."""
-    df = D.night_street(scale=0.05).to_spark(spark).persist()
+    df = D.load("night_street", scale=0.05).to_spark(spark).persist()
     df.count()
     yield df
     df.unpersist()

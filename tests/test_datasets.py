@@ -32,7 +32,7 @@ class TestRealWorldSurrogates:
 
     def test_scaled_size(self, name):
         ds = D.load(name, scale=0.05)
-        assert len(ds.pdf) == max(2000, int(D.PAPER_SIZES[name] * 0.05))
+        assert len(ds.pdf) == max(2000, int(D.TABLE2[name].paper_size * 0.05))
 
     def test_positive_rate_near_target(self, real_datasets, name):
         rate = real_datasets[name].pdf["label"].mean()
@@ -128,6 +128,22 @@ class TestGroupByDatasets:
     def test_group_truths_shape(self):
         ds = D.synthetic_groupby_multi(n=5000)
         assert ds.group_truths().shape == (4,)
+
+    def test_group_is_one_of_the_fired_columns(self):
+        """With 0/1 scores exactly the 1-columns fire: each row's group
+        is one of them, or −1 when none fired, and rows where two fired
+        take either with probability ½."""
+        patterns = np.array([[0, 0, 0], [0, 1, 0], [1, 0, 1], [1, 1, 1], [0, 1, 1]], dtype=float)
+        scores = np.repeat(patterns, 4000, axis=0)
+        pdf = D._groupby_from_scores(scores, np.random.default_rng(0), np.zeros(len(scores)))
+        group = pdf["group"].to_numpy()
+        fired = scores == 1
+        none = ~fired.any(axis=1)
+        assert (group[none] == -1).all()
+        assert fired[~none, group[~none]].all()
+        pair = fired.sum(axis=1) == 2
+        first = group[pair] == np.argmax(fired[pair], axis=1)
+        assert first.mean() == pytest.approx(0.5, abs=0.02)
 
     def test_celeba_rates(self):
         ds = D.celeba_groupby(scale=0.05)
