@@ -4,8 +4,10 @@ This is the query-processing path: the full table only ever flows
 through *cheap* Catalyst operators (two aggregates, the stratum
 expression, a hash filter); the expensive oracle UDF touches **only
 sampled rows**, which is the entire point of the paper. Apart from the
-passes that stratify the table, a query's work is O(N). The dataflow
-is:
+passes that stratify the table, a query's work is O(N). The table's
+columns are fixed by name: an integral ``id``, the statistic ``value``,
+the proxy score (``proxy_col``) and the oracle's hidden label. The
+dataflow is:
 
 1. ``stratify_frame`` — exact proxy-quantile strata (Algorithm 1 Init).
    Two parallel aggregates over a narrow projection of the table give
@@ -58,7 +60,7 @@ from pyspark.sql.window import Window
 from repro.core.bootstrap import bootstrap_ci
 from repro.core.estimator import plugin_estimates
 from repro.core.sampler import TrialResult, abae_sample, split_budget
-from repro.core.stratify import stratify_frame
+from repro.core.stratify import _by_stratum, stratify_frame
 from repro.simulate.oracles import SimulatedOracle
 
 
@@ -72,12 +74,12 @@ def _hash_threshold(m: int, size: int) -> int | None:
     return int(keep / size * 2.0**64) - 2**63
 
 
-def _rank(stratified: DataFrame, id_col: str) -> DataFrame:
+def _rank(stratified: DataFrame) -> DataFrame:
     """Attach each row's 1-based rank in its stratum's (hash, id) order,
     in one partition: without the ``coalesce(1)`` the window shuffles
     into ``spark.sql.shuffle.partitions`` tasks, and so does the oracle
     UDF over its output."""
-    w = Window.partitionBy("stratum").orderBy(F.col("_h"), F.col(id_col))
+    w = Window.partitionBy("stratum").orderBy("_h", "id")
     return stratified.coalesce(1).withColumn("_rank", F.row_number().over(w))
 
 
@@ -97,16 +99,13 @@ def _label(oracle: SimulatedOracle, ranked: DataFrame, lo: np.ndarray, hi: np.nd
     return oracle.apply(ranked.filter(bands or "false"))
 
 
-def _per_stratum(
-    labeled: pd.DataFrame, k: int, value_col: str
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def _per_stratum(labeled: pd.DataFrame, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each stratum's labeled (values, labels) in rank order."""
     labeled = labeled.sort_values(["stratum", "_rank"])
-    samples = []
-    for i in range(k):
-        sub = labeled[labeled["stratum"] == i]
-        samples.append((sub[value_col].to_numpy(dtype=float), sub["oracle_label"].to_numpy()))
-    return samples
+    return _by_stratum(
+        labeled["stratum"].to_numpy(), k,
+        labeled["value"].to_numpy(dtype=float), labeled["oracle_label"].to_numpy(),
+    )
 
 
 def _finish(
@@ -138,8 +137,6 @@ def abae_query(
     k: int = 5,
     stage1_frac: float = 0.5,
     proxy_col: str = "proxy",
-    value_col: str = "value",
-    id_col: str = "id",
     seed: int = 0,
     n_boot: int = 0,
     alpha: float = 0.05,
@@ -160,13 +157,13 @@ def abae_query(
     """
     calls_before = oracle.calls
     n1_per, n2 = split_budget(n_budget, k, stage1_frac)
-    cols = list(dict.fromkeys([id_col, proxy_col, value_col, oracle.label_col]))
-    stratified, sizes = stratify_frame(df.select(*cols), k, proxy_col=proxy_col, id_col=id_col)
-    stratified = stratified.withColumn("_h", F.xxhash64(F.col(id_col), F.lit(seed)))
+    cols = list(dict.fromkeys(["id", proxy_col, "value", oracle.label_col]))
+    stratified, sizes = stratify_frame(df.select(*cols), k, proxy_col=proxy_col)
+    stratified = stratified.withColumn("_h", F.xxhash64("id", F.lit(seed)))
     threshold = _hash_threshold(n1_per + n2, int(sizes[-1]))
     cands = stratified if threshold is None else stratified.filter(F.col("_h") < threshold)
-    cands = _rank(cands, id_col).persist()
-    out = ["stratum", "_rank", value_col, "oracle_label"]
+    cands = _rank(cands).persist()
+    out = ["stratum", "_rank", "value", "oracle_label"]
 
     def draw(lo: np.ndarray, hi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         labeled = _label(oracle, cands, lo, hi).select(*out).toPandas()
@@ -174,9 +171,9 @@ def abae_query(
         # returns end where its candidates do, or at hi.
         have = lo + np.bincount(labeled["stratum"].to_numpy(dtype=np.int64), minlength=k)
         if (have < hi).any():  # candidate shortfall: top up from the full ranking
-            topup = _label(oracle, _rank(stratified, id_col), have, hi).select(*out).toPandas()
+            topup = _label(oracle, _rank(stratified), have, hi).select(*out).toPandas()
             labeled = pd.concat([labeled, topup], ignore_index=True)
-        return _per_stratum(labeled, k, value_col)
+        return _per_stratum(labeled, k)
 
     try:
         res = abae_sample(sizes, n_budget, draw, stage1_frac=stage1_frac)
@@ -192,8 +189,6 @@ def uniform_query(
     *,
     n_budget: int,
     oracle: SimulatedOracle,
-    value_col: str = "value",
-    id_col: str = "id",
     seed: int = 0,
     n_boot: int = 0,
     alpha: float = 0.05,
@@ -220,11 +215,10 @@ def uniform_query(
     """
     calls_before = oracle.calls
     oracle.check_budget(n_budget)
-    cols = list(dict.fromkeys([id_col, value_col, oracle.label_col]))
     sampled = (
-        df.select(*cols)
-        .withColumn("_h", F.xxhash64(F.col(id_col), F.lit(seed)))
-        .orderBy("_h", id_col)
+        df.select(*dict.fromkeys(["id", "value", oracle.label_col]))
+        .withColumn("_h", F.xxhash64("id", F.lit(seed)))
+        .orderBy("_h", "id")
         .limit(n_budget)
         .coalesce(1)
     )
@@ -232,11 +226,11 @@ def uniform_query(
     # promise that order, so it is restored on the driver.
     pdf = (
         oracle.apply(sampled)
-        .select("_h", id_col, value_col, "oracle_label")
+        .select("_h", "id", "value", "oracle_label")
         .toPandas()
-        .sort_values(["_h", id_col])
+        .sort_values(["_h", "id"])
     )
-    v = pdf[value_col].to_numpy(dtype=float)
+    v = pdf["value"].to_numpy(dtype=float)
     l = pdf["oracle_label"].to_numpy()
     res = TrialResult(estimate=plugin_estimates(v, l).mu_hat, oracle_calls=v.size, samples=[(v, l)])
     return _finish(res, oracle, calls_before, seed, n_boot, alpha)

@@ -91,16 +91,12 @@ class CombinedProxy:
         return self.model.predict_proba(x)
 
 
-def combine_proxies(
-    pilot_scores: dict[str, np.ndarray],
-    labels: np.ndarray,
-    *,
-    l2: float = 1e-3,
-) -> CombinedProxy:
-    """Fit the logistic combination on the Stage-1 pilot sample."""
+def combine_proxies(pilot_scores: dict[str, np.ndarray], labels: np.ndarray) -> CombinedProxy:
+    """Fit the logistic combination, with ridge strength 1e-3, on the
+    Stage-1 pilot sample."""
     names = tuple(pilot_scores)
     x = np.column_stack([np.asarray(pilot_scores[n], dtype=float) for n in names])
-    model = fit_logistic(x, np.asarray(labels), l2=l2)
+    model = fit_logistic(x, np.asarray(labels), l2=1e-3)
     return CombinedProxy(model=model, proxy_names=names)
 
 

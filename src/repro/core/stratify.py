@@ -6,7 +6,8 @@ with similar predicate-positive probability, which is what makes the
 √p̂_k·σ̂_k allocation effective.
 
 The Spark path, ``add_stratum``, is an exact ``ntile(K)`` over (proxy,
-id), computed without sorting the table. A stratum is the set of rows
+id), computed without sorting the table. The tiebreak is always the
+frame's integral ``id`` column. A stratum is the set of rows
 between two of the K−1 (proxy, id) keys at which ``ntile`` starts a new
 tile, and those keys are order statistics that two parallel passes
 find exactly (the bracket-and-count technique over a Greenwald–Khanna
@@ -121,11 +122,7 @@ def _double(x: float) -> str:
 
 
 def stratify_frame(
-    df: DataFrame,
-    k: int,
-    *,
-    proxy_col: str = "proxy",
-    id_col: str = "id",
+    df: DataFrame, k: int, *, proxy_col: str = "proxy"
 ) -> tuple[DataFrame, np.ndarray]:
     """:func:`add_stratum`'s frame, and the rows of each stratum, |D_k|.
 
@@ -138,7 +135,7 @@ def stratify_frame(
         ValueError: if ``k`` < 1, or if ``proxy_col`` holds nulls (Spark
             orders them first, DuckDB and :func:`stratify_indices` last).
     """
-    p, i = f"`{proxy_col}`", f"`{id_col}`"
+    p = f"`{proxy_col}`"
 
     def ntile_window(why: str) -> tuple[DataFrame, np.ndarray]:
         warnings.warn(
@@ -146,7 +143,7 @@ def stratify_frame(
             RuntimeWarning,
             stacklevel=3,
         )
-        w = Window.orderBy(F.col(proxy_col), F.col(id_col))
+        w = Window.orderBy(proxy_col, "id")
         return df.withColumn("stratum", F.ntile(k).over(w) - 1), sizes
 
     aggs = ["count(1) AS n", f"count({p}) AS n_proxy"]
@@ -184,7 +181,7 @@ def stratify_frame(
     second = df.selectExpr(
         "count(1) AS n",
         *below,
-        f"collect_list(struct({p}, {i})) FILTER (WHERE {' OR '.join(ranges)}) AS band",
+        f"collect_list(struct({p}, `id`)) FILTER (WHERE {' OR '.join(ranges)}) AS band",
     ).first()
     if second["n"] != n:
         return ntile_window(f"the passes counted {n} and {second['n']} rows")
@@ -202,18 +199,12 @@ def stratify_frame(
             return ntile_window(f"the rank of key {b} falls outside its bracket")
         keys.append((b, _double(bp[at + t]), int(bi[at + t])))
     cases = " ".join(
-        f"WHEN {p} > {kp} OR ({p} = {kp} AND {i} >= {ki}) THEN {b}" for b, kp, ki in keys[::-1]
+        f"WHEN {p} > {kp} OR ({p} = {kp} AND `id` >= {ki}) THEN {b}" for b, kp, ki in keys[::-1]
     )
     return df.withColumn("stratum", F.expr(f"CASE {cases} ELSE 0 END")), sizes
 
 
-def add_stratum(
-    df: DataFrame,
-    k: int,
-    *,
-    proxy_col: str = "proxy",
-    id_col: str = "id",
-) -> DataFrame:
+def add_stratum(df: DataFrame, k: int, *, proxy_col: str = "proxy") -> DataFrame:
     """Exact quantile stratification: ``ntile(k)`` ordered by
     (proxy, id), emitted 0-based to match ``stratify_indices``. The
     keys are found eagerly, in two Spark jobs (see the module
@@ -222,4 +213,4 @@ def add_stratum(
     Raises:
         ValueError: if ``k`` < 1, or if ``proxy_col`` holds nulls.
     """
-    return stratify_frame(df, k, proxy_col=proxy_col, id_col=id_col)[0]
+    return stratify_frame(df, k, proxy_col=proxy_col)[0]

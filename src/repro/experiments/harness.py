@@ -24,7 +24,6 @@ from pyspark.sql import SparkSession
 
 from repro.core.bootstrap import bootstrap_ci
 from repro.core.groupby import (
-    GroupByData,
     groupby_multi_trial,
     groupby_single_trial,
     groupby_uniform_trial,
@@ -33,22 +32,27 @@ from repro.core.proxy_select import combined_proxy_trial
 from repro.core.sampler import abae_trial, uniform_trial
 from repro.spark_worker import release_zip_importers
 
-SCALAR_KINDS = ("abae", "abae_noreuse", "uniform", "abae_combined")
-GROUP_KINDS = ("groupby_single", "groupby_multi", "uniform_single", "uniform_multi")
-
-
-def _scalar_trial(kind: str, data: Any, n_budget: int, rng, stage1_frac: float):
-    if kind == "abae":
-        return abae_trial(data, n_budget, rng, stage1_frac=stage1_frac, reuse=True)
-    if kind == "abae_noreuse":
-        return abae_trial(data, n_budget, rng, stage1_frac=stage1_frac, reuse=False)
-    if kind == "uniform":
-        values, labels = data
-        return uniform_trial(values, labels, n_budget, rng)
-    if kind == "abae_combined":
-        scores, values, labels = data
-        return combined_proxy_trial(scores, values, labels, n_budget, rng, pilot_frac=stage1_frac)
-    raise ValueError(f"unknown scalar trial kind: {kind}")
+#: Each scalar trial kind and its call (data, n_budget, rng, stage1_frac).
+#: ``data`` is the per-stratum arrays for the ABAE kinds, (values, labels)
+#: for "uniform", and ({proxy: scores}, values, labels) for
+#: "abae_combined", ABAE over a logistic merge of the proxies (Fig. 12).
+SCALAR_KINDS = {
+    "abae": lambda d, n, rng, c: abae_trial(d, n, rng, stage1_frac=c, reuse=True),
+    "abae_noreuse": lambda d, n, rng, c: abae_trial(d, n, rng, stage1_frac=c, reuse=False),
+    "uniform": lambda d, n, rng, c: uniform_trial(*d, n, rng),
+    "abae_combined": lambda d, n, rng, c: combined_proxy_trial(*d, n, rng, pilot_frac=c),
+}
+#: Each group-by trial kind and its call (data, n_budget, rng,
+#: stage1_frac, n_groups): ABAE-GroupBy over a :class:`GroupByData`, or
+#: the uniform baseline over (values, groups) arrays.
+GROUP_KINDS = {
+    "groupby_single": lambda d, n, rng, c, g: groupby_single_trial(d, n, rng, stage1_frac=c),
+    "groupby_multi": lambda d, n, rng, c, g: groupby_multi_trial(d, n, rng, stage1_frac=c),
+    "uniform_single": lambda d, n, rng, c, g: groupby_uniform_trial(*d, n, rng, g),
+    "uniform_multi": lambda d, n, rng, c, g: groupby_uniform_trial(
+        *d, n, rng, g, per_group_oracle=True
+    ),
+}
 
 
 def _distribute(
@@ -117,11 +121,8 @@ def run_trials(
 
     Args:
         spark: session for distributed execution, or None for local.
-        kind: "abae" | "abae_noreuse" | "uniform" | "abae_combined"
-            (ABAE over a logistic merge of several proxies, Fig. 12).
-        data: per-stratum arrays for "abae" and "abae_noreuse",
-            (values, labels) for uniform, and ({proxy: scores}, values,
-            labels) for "abae_combined".
+        kind: a :data:`SCALAR_KINDS` key.
+        data: that kind's input.
         n_budget: oracle budget per trial.
         n_trials: number of Monte-Carlo repetitions.
         base_seed: trial i uses seed ``base_seed + i``.
@@ -131,11 +132,12 @@ def run_trials(
         DataFrame with columns trial, estimate, lo, hi, calls.
     """
     if kind not in SCALAR_KINDS:
-        raise ValueError(f"kind must be one of {SCALAR_KINDS}, got {kind!r}")
+        raise ValueError(f"kind must be one of {tuple(SCALAR_KINDS)}, got {kind!r}")
+    trial = SCALAR_KINDS[kind]
 
     def one(payload: Any, seed: int) -> list[tuple[float, float, float, int]]:
         rng = np.random.default_rng(seed)
-        res = _scalar_trial(kind, payload, n_budget, rng, stage1_frac)
+        res = trial(payload, n_budget, rng, stage1_frac)
         lo = hi = float("nan")
         if with_ci:
             lo, hi = bootstrap_ci(res.samples, rng, n_boot=n_boot, alpha=alpha)
@@ -161,28 +163,17 @@ def run_group_trials(
     """Run group-by trials; returns one row per (trial, group).
 
     Args:
-        kind: "groupby_single" | "groupby_multi" (ABAE-GroupBy) or
-            "uniform_single" | "uniform_multi" (baseline).
-        data: :class:`GroupByData` for ABAE kinds, (values, groups)
-            arrays for the uniform kinds.
+        kind: a :data:`GROUP_KINDS` key.
+        data: that kind's input.
         n_budget: total oracle budget per trial (already multiplied by
             the number of groups — the figures normalize by G).
     """
     if kind not in GROUP_KINDS:
-        raise ValueError(f"kind must be one of {GROUP_KINDS}, got {kind!r}")
+        raise ValueError(f"kind must be one of {tuple(GROUP_KINDS)}, got {kind!r}")
+    trial = GROUP_KINDS[kind]
 
     def one(payload: Any, seed: int) -> list[tuple[int, float, int]]:
-        rng = np.random.default_rng(seed)
-        if kind == "groupby_single":
-            res = groupby_single_trial(payload, n_budget, rng, stage1_frac=stage1_frac)
-        elif kind == "groupby_multi":
-            res = groupby_multi_trial(payload, n_budget, rng, stage1_frac=stage1_frac)
-        else:
-            values, groups = payload
-            res = groupby_uniform_trial(
-                values, groups, n_budget, rng, n_groups,
-                per_group_oracle=(kind == "uniform_multi"),
-            )
+        res = trial(payload, n_budget, np.random.default_rng(seed), stage1_frac, n_groups)
         return [(g, float(res.estimates[g]), res.oracle_calls) for g in range(n_groups)]
 
     return _distribute(

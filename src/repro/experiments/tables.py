@@ -7,13 +7,14 @@ a tidy pandas DataFrame whose rows are what the paper plots.
 paper-vs-measured.
 
 Every figure is a sweep of conditions: (dataset, budget, method) for
-Figs. 2–9 and 12 (:func:`_sweep`), (dataset, K or C) for Figs. 10–11
-(:func:`_sensitivity`). Each condition is one :func:`_condition` call,
-``n_trials`` seeded trials on the Spark harness, which the table
-reduces to a metric. All functions take the SparkSession first (trials
-are distributed via ``experiments.harness``) plus knobs for scale /
-budgets / trial count, defaulting to bench-friendly values (paper:
-scale=1, 1000 trials); K and C are the paper's defaults.
+Figs. 2–9 and 12 (:func:`_sweep`, given the table's row function),
+(dataset, K or C) for Figs. 10–11 (:func:`_sensitivity`). Each
+condition is one :func:`_condition` call, ``n_trials`` seeded trials
+on the Spark harness, which the table reduces to a metric. All
+functions take the SparkSession first (trials are distributed via
+``experiments.harness``) plus knobs for scale / budgets / trial count,
+defaulting to bench-friendly values (paper: scale=1, 1000 trials); K
+and C are the paper's defaults.
 """
 from __future__ import annotations
 
@@ -88,30 +89,31 @@ def _condition(
     )
 
 
-def _sweep(spark, sets, budgets, methods, *, n_trials, seed, **kw):
-    """Run every method at every budget on every dataset.
+def _sweep(spark, table, row, sets, budgets, methods, *, n_trials, seed, **kw) -> pd.DataFrame:
+    """Run every method at every budget on every dataset: table ``table``.
 
     ``sets`` yields (name, Dataset) pairs; ``methods`` maps a label to
     (harness kind, builder of the kind's input from the Dataset).
     Condition (name, budget, label) is seeded by those three parts and
     spends the budget, per group on a group-by set (Figs. 7–8 normalize
-    by G), clamped by :func:`_effective_budget`.
-
-    Yields:
-        (name, dataset, budget, spent budget, {label: trial frame}) per
-        dataset and budget.
+    by G), clamped by :func:`_effective_budget`. Each dataset and budget
+    is one row: ``table``, ``dataset`` and then ``row(ds, budget, spent
+    budget, {label: trial frame})``.
     """
+    rows = []
     for name, ds in sets:
         inputs = {label: build(ds) for label, (_, build) in methods.items()}
         for budget in budgets:
             n = _effective_budget(len(ds.pdf), budget * (ds.n_groups or 1))
-            yield name, ds, budget, n, {
+            trials = {
                 label: _condition(
                     spark, (name, budget, label), kind, inputs[label], n,
                     n_trials=n_trials, seed=seed, n_groups=ds.n_groups, **kw,
                 )
                 for label, (kind, _) in methods.items()
             }
+            rows.append({"table": table, "dataset": name, **row(ds, budget, n, trials)})
+    return pd.DataFrame(rows)
 
 
 def _real(datasets, scale):
@@ -146,25 +148,19 @@ def table_fig2(
     seed: int = 0,
 ) -> pd.DataFrame:
     """Fig. 2: sampling budget vs RMSE, ABAE vs uniform, six datasets."""
-    rows = []
-    for name, ds, budget, _, t in _sweep(
-        spark, _real(datasets, scale), _scaled_budgets(budgets, scale), _UNIFORM_VS_ABAE,
-        n_trials=n_trials, seed=seed,
-    ):
+
+    def row(ds, budget, _, t):
         truth = ds.ground_truth()
         r_uni, r_abae = _rmse(t["uniform"], truth), _rmse(t["abae"], truth)
-        rows.append(
-            {
-                "table": "fig2",
-                "dataset": name,
-                "budget": budget,
-                "rmse_uniform": r_uni,
-                "rmse_abae": r_abae,
-                "improvement": _gain(r_uni, r_abae),
-                "truth": truth,
-            }
-        )
-    return pd.DataFrame(rows)
+        return {
+            "budget": budget, "rmse_uniform": r_uni, "rmse_abae": r_abae,
+            "improvement": _gain(r_uni, r_abae), "truth": truth,
+        }
+
+    return _sweep(
+        spark, "fig2", row, _real(datasets, scale), _scaled_budgets(budgets, scale),
+        _UNIFORM_VS_ABAE, n_trials=n_trials, seed=seed,
+    )
 
 
 def table_fig3(spark: SparkSession, **kw) -> pd.DataFrame:
@@ -185,25 +181,22 @@ def table_fig4(
 ) -> pd.DataFrame:
     """Fig. 4: budget vs normalized Q-error (plus relative error —
     the text reports 14–70% and 13–76% gains)."""
-    rows = []
-    for name, ds, budget, _, t in _sweep(
-        spark, _real(datasets, scale), _scaled_budgets(budgets, scale), _UNIFORM_VS_ABAE,
-        n_trials=n_trials, seed=seed,
-    ):
+
+    def row(ds, budget, _, t):
         truth = ds.ground_truth()
         e_uni, e_abae = t["uniform"]["estimate"], t["abae"]["estimate"]
-        rows.append(
-            {
-                "table": "fig4",
-                "dataset": name,
-                "budget": budget,
-                "qerror_uniform": M.normalized_qerror(e_uni, truth),
-                "qerror_abae": M.normalized_qerror(e_abae, truth),
-                "relerr_uniform": M.relative_error(e_uni, truth),
-                "relerr_abae": M.relative_error(e_abae, truth),
-            }
-        )
-    return pd.DataFrame(rows)
+        return {
+            "budget": budget,
+            "qerror_uniform": M.normalized_qerror(e_uni, truth),
+            "qerror_abae": M.normalized_qerror(e_abae, truth),
+            "relerr_uniform": M.relative_error(e_uni, truth),
+            "relerr_abae": M.relative_error(e_abae, truth),
+        }
+
+    return _sweep(
+        spark, "fig4", row, _real(datasets, scale), _scaled_budgets(budgets, scale),
+        _UNIFORM_VS_ABAE, n_trials=n_trials, seed=seed,
+    )
 
 
 def table_fig5(
@@ -217,25 +210,22 @@ def table_fig5(
     seed: int = 0,
 ) -> pd.DataFrame:
     """Fig. 5: budget vs bootstrap CI width (α=0.05) + coverage."""
-    rows = []
-    for name, ds, budget, _, t in _sweep(
-        spark, _real(datasets, scale), _scaled_budgets(budgets, scale), _UNIFORM_VS_ABAE,
-        n_trials=n_trials, seed=seed, with_ci=True, n_boot=n_boot,
-    ):
+
+    def row(ds, budget, _, t):
         truth = ds.ground_truth()
         t_uni, t_abae = t["uniform"], t["abae"]
-        rows.append(
-            {
-                "table": "fig5",
-                "dataset": name,
-                "budget": budget,
-                "ci_width_uniform": M.ci_width(t_uni["lo"], t_uni["hi"]),
-                "ci_width_abae": M.ci_width(t_abae["lo"], t_abae["hi"]),
-                "coverage_uniform": M.ci_coverage(t_uni["lo"], t_uni["hi"], truth),
-                "coverage_abae": M.ci_coverage(t_abae["lo"], t_abae["hi"], truth),
-            }
-        )
-    return pd.DataFrame(rows)
+        return {
+            "budget": budget,
+            "ci_width_uniform": M.ci_width(t_uni["lo"], t_uni["hi"]),
+            "ci_width_abae": M.ci_width(t_abae["lo"], t_abae["hi"]),
+            "coverage_uniform": M.ci_coverage(t_uni["lo"], t_uni["hi"], truth),
+            "coverage_abae": M.ci_coverage(t_abae["lo"], t_abae["hi"], truth),
+        }
+
+    return _sweep(
+        spark, "fig5", row, _real(datasets, scale), _scaled_budgets(budgets, scale),
+        _UNIFORM_VS_ABAE, n_trials=n_trials, seed=seed, with_ci=True, n_boot=n_boot,
+    )
 
 
 def table_fig6(
@@ -258,23 +248,22 @@ def table_fig6(
         "abae_single_proxy": ("abae", lambda ds: ds.strata(K, proxy_col="proxy_0")),
         "abae_multipred": _ABAE,  # the combined score
     }
-    rows = []
-    for name, ds, budget, _, t in _sweep(
-        spark, sets.items(), _scaled_budgets(budgets, scale), methods,
-        n_trials=n_trials, seed=seed,
-    ):
+
+    def row(ds, budget, _, t):
         truth = ds.ground_truth()
         e = {label: _rmse(trials, truth) for label, trials in t.items()}
-        rows.append(
-            {
-                "table": "fig6", "dataset": name, "budget": budget,
-                "rmse_uniform": e["uniform"],
-                "rmse_abae_single_proxy": e["abae_single_proxy"],
-                "rmse_abae_multipred": e["abae_multipred"],
-                "improvement": _gain(e["uniform"], e["abae_multipred"]),
-            }
-        )
-    return pd.DataFrame(rows)
+        return {
+            "budget": budget,
+            "rmse_uniform": e["uniform"],
+            "rmse_abae_single_proxy": e["abae_single_proxy"],
+            "rmse_abae_multipred": e["abae_multipred"],
+            "improvement": _gain(e["uniform"], e["abae_multipred"]),
+        }
+
+    return _sweep(
+        spark, "fig6", row, sets.items(), _scaled_budgets(budgets, scale), methods,
+        n_trials=n_trials, seed=seed,
+    )
 
 
 def _groupby_table(spark, table, sets, kind_abae, kind_uniform, norm_budgets, n_trials, seed):
@@ -287,21 +276,19 @@ def _groupby_table(spark, table, sets, kind_abae, kind_uniform, norm_budgets, n_
             lambda ds: (ds.pdf["value"].to_numpy(float), ds.pdf["group"].to_numpy()),
         ),
     }
-    rows = []
-    for name, ds, nb, _, t in _sweep(
-        spark, sets.items(), norm_budgets, methods, n_trials=n_trials, seed=seed
-    ):
+
+    def row(ds, nb, _, t):
         truths = ds.group_truths()
         m_abae = M.max_group_rmse(estimates_matrix(t["a"], ds.n_groups), truths)
         m_uni = M.max_group_rmse(estimates_matrix(t["u"], ds.n_groups), truths)
-        rows.append(
-            {
-                "table": table, "dataset": name, "normalized_budget": nb,
-                "max_rmse_uniform": m_uni, "max_rmse_abae": m_abae,
-                "improvement": _gain(m_uni, m_abae),
-            }
-        )
-    return pd.DataFrame(rows)
+        return {
+            "normalized_budget": nb, "max_rmse_uniform": m_uni, "max_rmse_abae": m_abae,
+            "improvement": _gain(m_uni, m_abae),
+        }
+
+    return _sweep(
+        spark, table, row, sets.items(), norm_budgets, methods, n_trials=n_trials, seed=seed
+    )
 
 
 def table_fig7(
@@ -357,21 +344,19 @@ def table_fig9(
     """Fig. 9: lesion — full ABAE vs ABAE w/o sample reuse vs uniform,
     N=10,000."""
     methods = {"abae": _ABAE, "abae_noreuse": ("abae_noreuse", _strata), "uniform": _UNIFORM}
-    rows = []
-    for name, ds, budget, _, t in _sweep(
-        spark, _real(datasets, scale), _scaled_budgets((budget,), scale), methods,
-        n_trials=n_trials, seed=seed,
-    ):
+
+    def row(ds, budget, _, t):
         truth = ds.ground_truth()
         r = {m: _rmse(trials, truth) for m, trials in t.items()}
-        rows.append(
-            {
-                "table": "fig9", "dataset": name, "budget": budget,
-                "rmse_abae": r["abae"], "rmse_no_reuse": r["abae_noreuse"],
-                "rmse_uniform": r["uniform"],
-            }
-        )
-    return pd.DataFrame(rows)
+        return {
+            "budget": budget, "rmse_abae": r["abae"], "rmse_no_reuse": r["abae_noreuse"],
+            "rmse_uniform": r["uniform"],
+        }
+
+    return _sweep(
+        spark, "fig9", row, _real(datasets, scale), _scaled_budgets((budget,), scale), methods,
+        n_trials=n_trials, seed=seed,
+    )
 
 
 def _sensitivity(spark, table, knob, values, *, datasets, budget, scale, n_trials, seed):
@@ -463,21 +448,20 @@ def table_fig12(
         "s": ("abae", lambda ds: ds.strata(K, proxy_col=ds.proxy_cols[1])),
         "c": ("abae_combined", _combined_input),
     }
-    rows = []
-    for name, ds, _, n, t in _sweep(
-        spark, sets.items(), _scaled_budgets(budgets, scale), methods,
-        n_trials=n_trials, seed=seed,
-    ):
+
+    def row(ds, _, n, t):
         truth = ds.ground_truth()
-        rows.append(
-            {
-                "table": "fig12", "dataset": name, "budget": n,
-                "rmse_uniform": _rmse(t["u"], truth),
-                "rmse_abae_single": _rmse(t["s"], truth),
-                "rmse_abae_combined": _rmse(t["c"], truth),
-            }
-        )
-    return pd.DataFrame(rows)
+        return {
+            "budget": n,
+            "rmse_uniform": _rmse(t["u"], truth),
+            "rmse_abae_single": _rmse(t["s"], truth),
+            "rmse_abae_combined": _rmse(t["c"], truth),
+        }
+
+    return _sweep(
+        spark, "fig12", row, sets.items(), _scaled_budgets(budgets, scale), methods,
+        n_trials=n_trials, seed=seed,
+    )
 
 
 def table2_datasets(scale: float = 0.1) -> pd.DataFrame:

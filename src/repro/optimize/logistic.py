@@ -11,6 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Newton iteration cap of :func:`fit_logistic`.
+_MAX_ITER = 100
+#: :func:`fit_logistic` stops when the max coefficient update is below this.
+_TOL = 1e-8
+
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Stable logistic function: exp is only taken of −|z|."""
@@ -40,14 +45,7 @@ class LogisticModel:
         return sigmoid(x @ self.weights + self.intercept)
 
 
-def fit_logistic(
-    x: np.ndarray,
-    y: np.ndarray,
-    *,
-    l2: float = 1e-4,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-) -> LogisticModel:
+def fit_logistic(x: np.ndarray, y: np.ndarray, *, l2: float = 1e-4) -> LogisticModel:
     """Fit a binary logistic regression with Newton–Raphson (IRLS).
 
     A small L2 penalty keeps the Hessian invertible when the pilot
@@ -57,8 +55,6 @@ def fit_logistic(
         x: (n, d) proxy-score features.
         y: (n,) binary oracle labels in {0, 1}.
         l2: ridge strength on the weights (not the intercept).
-        max_iter: Newton iteration cap.
-        tol: stop when the max coefficient update is below this.
 
     Returns:
         LogisticModel with fitted weights and intercept.
@@ -72,7 +68,7 @@ def fit_logistic(
     beta = np.zeros(d + 1)
     reg = l2 * np.eye(d + 1)
     reg[-1, -1] = 0.0  # do not penalize the intercept
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         p = sigmoid(xb @ beta)
         w = np.clip(p * (1.0 - p), 1e-12, None)
         grad = xb.T @ (p - y) + reg @ beta
@@ -82,6 +78,6 @@ def fit_logistic(
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, grad, rcond=None)[0]
         beta -= step
-        if np.max(np.abs(step)) < tol:
+        if np.max(np.abs(step)) < _TOL:
             break
     return LogisticModel(weights=beta[:-1].copy(), intercept=float(beta[-1]))

@@ -17,10 +17,8 @@ import numpy as np
 from repro.optimize.logistic import sigmoid
 
 
-def calibrate_intercept(
-    latent: np.ndarray, target_rate: float, *, tol: float = 1e-6
-) -> float:
-    """Find b such that mean(sigmoid(latent + b)) == target_rate.
+def calibrate_intercept(latent: np.ndarray, target_rate: float) -> float:
+    """Find b such that mean(sigmoid(latent + b)) == target_rate, to 1e-6.
 
     Used so every dataset surrogate hits the paper's predicate positive
     rate exactly in expectation, regardless of the latent distribution.
@@ -30,7 +28,7 @@ def calibrate_intercept(
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         rate = float(sigmoid(latent + mid).mean())
-        if abs(rate - target_rate) < tol:
+        if abs(rate - target_rate) < 1e-6:
             return mid
         if rate < target_rate:
             lo = mid
