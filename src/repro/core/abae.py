@@ -57,7 +57,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.window import Window
 
-from repro.core.bootstrap import bootstrap_ci
+from repro.core.bootstrap import bootstrap_ci, check_bootstrap
 from repro.core.estimator import plugin_estimates
 from repro.core.sampler import TrialResult, abae_sample, split_budget
 from repro.core.stratify import _by_stratum, stratify_frame
@@ -149,12 +149,16 @@ def abae_query(
 
     Raises:
         ValueError: if ``n_budget`` is smaller than ``k``, if ``df``
-            is empty, or if its proxy column holds nulls.
+            is empty, if its proxy column holds nulls, or, with
+            ``n_boot`` > 0, for bootstrap settings ``bootstrap_ci``
+            rejects (before any oracle call).
         BudgetExceededError: before a stage whose rows exceed the
             oracle's remaining budget is labeled.
         RuntimeError: if the oracle metered other than one call per
             labeled row (see :func:`_finish`).
     """
+    if n_boot > 0:
+        check_bootstrap(n_boot, alpha)
     calls_before = oracle.calls
     n1_per, n2 = split_budget(n_budget, k, stage1_frac)
     cols = list(dict.fromkeys(["id", proxy_col, "value", oracle.label_col]))
@@ -209,10 +213,13 @@ def uniform_query(
     so every call is metered, in one Spark job of two stages (a
     ``repartition(1)`` there would add a shuffle and a second job). The
     query plans ``n_budget`` calls and raises BudgetExceededError
-    before labeling if they exceed the oracle's remaining budget, and
+    before labeling if they exceed the oracle's remaining budget,
     RuntimeError if the oracle metered other than one call per labeled
-    row.
+    row, and, with ``n_boot`` > 0, ValueError before labeling for
+    bootstrap settings ``bootstrap_ci`` rejects.
     """
+    if n_boot > 0:
+        check_bootstrap(n_boot, alpha)
     calls_before = oracle.calls
     oracle.check_budget(n_budget)
     sampled = (

@@ -15,6 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 
+def check_bootstrap(n_boot: int, alpha: float) -> None:
+    """Raise ``ValueError`` unless ``n_boot`` ≥ 1 and 0 < ``alpha`` < 1,
+    the settings a percentile interval is defined for."""
+    if not (n_boot >= 1 and 0 < alpha < 1):
+        raise ValueError(f"need n_boot >= 1 and 0 < alpha < 1, got n_boot={n_boot}, alpha={alpha}")
+
+
 def bootstrap_ci(
     samples: list[tuple[np.ndarray, np.ndarray]],
     rng: np.random.Generator,
@@ -33,7 +40,11 @@ def bootstrap_ci(
 
     Returns:
         (lower, upper) percentile interval.
+
+    Raises:
+        ValueError: unless ``n_boot`` ≥ 1 and 0 < ``alpha`` < 1.
     """
+    check_bootstrap(n_boot, alpha)
     mu_b = bootstrap_replicates(samples, rng, n_boot=n_boot)
     lo, hi = np.percentile(mu_b, [100 * alpha / 2, 100 * (1 - alpha / 2)])
     return float(lo), float(hi)

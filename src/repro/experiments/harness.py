@@ -2,10 +2,10 @@
 
 The paper runs every condition 1,000 times. A single trial is a cheap
 numpy kernel (core.sampler / core.groupby); the fleet of trials is
-embarrassingly parallel, so we distribute it with ``mapInPandas`` over
-a DataFrame of trial seeds: the per-stratum arrays are broadcast once
-per call, each executor core runs its share of seeds, and only (trial,
-estimate, ci) rows come back. This is the distributed_dataflow shape of
+embarrassingly parallel, so we distribute it as one RDD job over the
+seed range, in the SQL UDF workers: the per-stratum arrays are
+broadcast once per call, each executor core runs its share of seeds,
+and only (trial, estimate, ci) rows come back. This is the distributed_dataflow shape of
 the reproduction — dataset-scan work (stratification) happens in
 Catalyst, trial replication happens across the cluster.
 
@@ -22,7 +22,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.bootstrap import bootstrap_ci
+from repro.core.bootstrap import bootstrap_ci, check_bootstrap
 from repro.core.groupby import (
     groupby_multi_trial,
     groupby_single_trial,
@@ -54,6 +54,9 @@ GROUP_KINDS = {
     ),
 }
 
+#: The pandas dtype of each DDL type a ``_distribute`` schema uses.
+_DTYPES = {"long": "int64", "double": "float64"}
+
 
 def _distribute(
     spark: SparkSession | None,
@@ -65,43 +68,50 @@ def _distribute(
 ) -> pd.DataFrame:
     """Run ``fn(data, seed)`` for seeds ``base_seed .. base_seed +
     n_trials − 1`` and return its rows, each prefixed by the trial index
-    ``seed − base_seed``, as a frame sorted by trial.
+    ``seed − base_seed``, as a frame in trial order.
 
-    ``schema`` is the Spark DDL of the output rows, the leading
-    ``trial long`` included. With ``spark`` the seeds are spread over
-    the cluster by ``mapInPandas`` and ``data`` is broadcast once;
-    without it they run in a local loop. The seeds are one range of
-    ``n_part`` partitions, so a call is a single Spark job.
+    ``schema`` is the DDL of the output rows, the leading ``trial long``
+    included; ``long`` columns come back as int64 and ``double`` as
+    float64. With ``spark`` the seeds are one RDD job over the seed
+    range, in the SQL UDF workers, and ``data`` is broadcast once;
+    without it they run in a local loop. The range has ``n_part``
+    partitions and ``collect`` keeps their order, so the rows come back
+    in seed order.
 
     Raises:
         ValueError: if ``n_trials`` < 1.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
-    cols = [c.split()[0] for c in schema.split(",")]
+    fields = [f.split() for f in schema.split(",")]
+    cols = [name for name, _ in fields]
+    dtypes = {name: _DTYPES[kind] for name, kind in fields}
     if spark is None:
         rows = [(i, *r) for i in range(n_trials) for r in fn(data, base_seed + i)]
-        return pd.DataFrame(rows, columns=cols)
+    else:
+        sc = spark.sparkContext
+        # Spark keys its Python worker pools by the task environment, and
+        # its SQL Python runners (the oracle UDF's) add this variable.
+        # Without it here, an RDD job starts a second daemon and a second
+        # pool of workers.
+        if spark.conf.get("spark.sql.execution.pyspark.udf.simplifiedTraceback.enabled") == "true":
+            sc.environment["SPARK_SIMPLIFIED_TRACEBACK"] = "1"
+        bc = sc.broadcast(data)
 
-    bc = spark.sparkContext.broadcast(data)
+        def worker(seeds: Iterator[int]) -> Iterator[tuple]:
+            release_zip_importers()
+            payload = bc.value
+            for seed in seeds:
+                for r in fn(payload, seed):
+                    yield (seed - base_seed, *r)
 
-    def worker(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        release_zip_importers()
-        payload = bc.value
-        for batch in batches:
-            rows = [
-                (int(seed) - base_seed, *r) for seed in batch["id"] for r in fn(payload, int(seed))
-            ]
-            yield pd.DataFrame(rows, columns=cols)
-
-    n_part = min(n_trials, max(2, spark.sparkContext.defaultParallelism))
-    seeds = spark.range(base_seed, base_seed + n_trials, numPartitions=n_part)
-    try:
-        out = seeds.mapInPandas(worker, schema=schema).toPandas()
-    finally:
-        bc.unpersist()
-    # Stable, so the rows of one trial keep the order ``fn`` gave them.
-    return out.sort_values("trial", kind="stable").reset_index(drop=True)
+        n_part = min(n_trials, max(2, sc.defaultParallelism))
+        try:
+            seeds = sc.range(base_seed, base_seed + n_trials, numSlices=n_part)
+            rows = seeds.mapPartitions(worker).collect()
+        finally:
+            bc.unpersist()
+    return pd.DataFrame(rows, columns=cols).astype(dtypes)
 
 
 def run_trials(
@@ -130,9 +140,16 @@ def run_trials(
 
     Returns:
         DataFrame with columns trial, estimate, lo, hi, calls.
+
+    Raises:
+        ValueError: for an unknown ``kind``, ``n_trials`` < 1, or, with
+            ``with_ci``, bootstrap settings ``bootstrap_ci`` rejects;
+            all before any Spark job.
     """
     if kind not in SCALAR_KINDS:
         raise ValueError(f"kind must be one of {tuple(SCALAR_KINDS)}, got {kind!r}")
+    if with_ci:
+        check_bootstrap(n_boot, alpha)
     trial = SCALAR_KINDS[kind]
 
     def one(payload: Any, seed: int) -> list[tuple[float, float, float, int]]:

@@ -308,6 +308,23 @@ class TestMetering:
             query(ns_df, n_budget=600, oracle=oracle, seed=3)
 
 
+    @pytest.mark.parametrize("n_boot, alpha", [(100, 0.0), (100, 1.0), (100, 1.5)])
+    def test_bad_bootstrap_rejected_before_any_call(self, spark, ns_df, query, n_boot, alpha):
+        """Bootstrap settings with no percentile interval are rejected
+        before a row is labeled or a Spark job runs."""
+        oracle = SimulatedOracle("label")
+        sc = spark.sparkContext
+        group = f"test-query-bad-bootstrap-{query.__name__}-{n_boot}-{alpha}"
+        sc.setJobGroup(group, "bad bootstrap settings")
+        try:
+            with pytest.raises(ValueError, match="n_boot"):
+                query(ns_df, n_budget=600, oracle=oracle, seed=1, n_boot=n_boot, alpha=alpha)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert oracle.calls == 0
+        assert sc.statusTracker().getJobIdsForGroup(group) == []
+
+
 class TestUniformQuery:
     def test_budget_exact(self, ns_df):
         oracle = SimulatedOracle("label")

@@ -111,6 +111,22 @@ class TestReplicates:
 
 
 class TestCI:
+    @pytest.mark.parametrize(
+        "n_boot, alpha",
+        [(0, 0.05), (-1, 0.05), (100, 0.0), (100, 1.0), (100, 1.5), (100, -0.1), (100, float("nan"))],
+    )
+    def test_bad_settings_rejected(self, toy_strata, n_boot, alpha):
+        """No replicates (``ends[-1]`` of an empty array before) or an
+        alpha outside (0, 1) (an inverted interval before) is an error."""
+        res = abae_trial(toy_strata, 400, np.random.default_rng(5))
+        with pytest.raises(ValueError, match="n_boot"):
+            bootstrap_ci(res.samples, np.random.default_rng(6), n_boot=n_boot, alpha=alpha)
+
+    def test_one_replicate_is_a_point(self, toy_strata):
+        res = abae_trial(toy_strata, 400, np.random.default_rng(5))
+        lo, hi = bootstrap_ci(res.samples, np.random.default_rng(6), n_boot=1, alpha=0.5)
+        assert lo == hi
+
     def test_ordered_bounds(self, toy_strata):
         res = abae_trial(toy_strata, 400, np.random.default_rng(5))
         lo, hi = bootstrap_ci(res.samples, np.random.default_rng(6), n_boot=500)

@@ -2,14 +2,26 @@
 runner and its local fallback."""
 from __future__ import annotations
 
+import os
+
 import numpy as np
+import pandas as pd
 import pytest
-from pyspark.errors import PythonException
+from py4j.protocol import Py4JJavaError
 
 from repro.core.groupby import build_groupby_data
 from repro.experiments import harness
-from repro.experiments.harness import estimates_matrix, run_group_trials, run_trials
+from repro.experiments.harness import (
+    GROUP_KINDS,
+    SCALAR_KINDS,
+    estimates_matrix,
+    run_group_trials,
+    run_trials,
+)
 from repro.simulate import datasets as D
+
+#: (n_boot, alpha) settings a percentile bootstrap is not defined for.
+BAD_BOOTSTRAP = [(0, 0.05), (-1, 0.05), (100, 0.0), (100, 1.0), (100, 1.5)]
 
 
 def _combined_payload():
@@ -18,6 +30,24 @@ def _combined_payload():
     ds = D.synthetic_combine(n=5000)
     scores = {c: ds.pdf[c].to_numpy(float) for c in ds.proxy_cols if c != "proxy"}
     return (scores, *ds.population())
+
+
+def _scalar_payload(kind, toy_strata):
+    """Each :data:`SCALAR_KINDS` kind's input."""
+    if kind == "uniform":
+        return tuple(np.concatenate(a) for a in zip(*toy_strata))
+    return _combined_payload() if kind == "abae_combined" else toy_strata
+
+
+def _group_payload(kind):
+    """Each :data:`GROUP_KINDS` kind's input (4 groups) on the 5,000-row
+    synthetic set of its figure: Fig. 7 for the single-oracle kinds,
+    Fig. 8 for the multi-oracle ones."""
+    single = kind.endswith("single")
+    ds = (D.synthetic_groupby_single if single else D.synthetic_groupby_multi)(n=5000)
+    if kind.startswith("uniform"):
+        return ds.pdf["value"].to_numpy(float), ds.pdf["group"].to_numpy()
+    return build_groupby_data(ds.pdf, list(ds.proxy_cols), 3)
 
 
 class TestLocalTrials:
@@ -69,6 +99,20 @@ class TestLocalTrials:
     def test_no_trials_rejected(self, toy_strata, n_trials):
         with pytest.raises(ValueError, match="n_trials"):
             run_trials(None, kind="abae", data=toy_strata, n_budget=300, n_trials=n_trials)
+
+    @pytest.mark.parametrize("n_boot, alpha", BAD_BOOTSTRAP)
+    def test_bad_bootstrap_rejected(self, toy_strata, n_boot, alpha):
+        with pytest.raises(ValueError, match="n_boot"):
+            run_trials(
+                None, kind="abae", data=toy_strata, n_budget=300, n_trials=2,
+                with_ci=True, n_boot=n_boot, alpha=alpha,
+            )
+
+    def test_bootstrap_settings_unused_without_ci(self, toy_strata):
+        out = run_trials(
+            None, kind="abae", data=toy_strata, n_budget=300, n_trials=2, n_boot=0, alpha=1.5
+        )
+        assert out["lo"].isna().all()
 
 
 class TestLocalGroupTrials:
@@ -127,6 +171,28 @@ class TestDistributedTrials:
         )
         assert loc["estimate"].tolist() == dist["estimate"].tolist()
 
+    @pytest.mark.parametrize("with_ci", [False, True])
+    @pytest.mark.parametrize("kind", list(SCALAR_KINDS))
+    def test_spark_frame_equals_local(self, spark, toy_strata, kind, with_ci):
+        """Same columns, dtypes, row order and values, Spark or not."""
+        kw = dict(
+            kind=kind, data=_scalar_payload(kind, toy_strata), n_budget=300, n_trials=8,
+            base_seed=21, with_ci=with_ci, n_boot=50,
+        )
+        pd.testing.assert_frame_equal(
+            run_trials(spark, **kw), run_trials(None, **kw), check_exact=True
+        )
+
+    @pytest.mark.parametrize("kind", list(GROUP_KINDS))
+    def test_spark_group_frame_equals_local(self, spark, kind):
+        kw = dict(
+            kind=kind, data=_group_payload(kind), n_budget=800, n_trials=6, n_groups=4,
+            base_seed=13,
+        )
+        pd.testing.assert_frame_equal(
+            run_group_trials(spark, **kw), run_group_trials(None, **kw), check_exact=True
+        )
+
     def test_spark_group_trials_match_local(self, spark):
         ds = D.synthetic_groupby_multi(n=5000)
         data = build_groupby_data(ds.pdf, list(ds.proxy_cols), 3)
@@ -167,6 +233,38 @@ class TestDistributedTrials:
 
         assert self._jobs_in_group(spark, f"test-harness-no-trials{n_trials}", call) == []
 
+    @pytest.mark.parametrize("n_boot, alpha", BAD_BOOTSTRAP)
+    def test_bad_bootstrap_rejected_before_any_job(self, spark, toy_strata, n_boot, alpha):
+        def call():
+            with pytest.raises(ValueError, match="n_boot"):
+                run_trials(
+                    spark, kind="abae", data=toy_strata, n_budget=300, n_trials=4,
+                    with_ci=True, n_boot=n_boot, alpha=alpha,
+                )
+
+        group = f"test-harness-bad-bootstrap-{n_boot}-{alpha}"
+        assert self._jobs_in_group(spark, group, call) == []
+
+    def test_trials_share_the_sql_udf_workers(self, spark):
+        """A harness call runs in the Python workers that SQL Python
+        jobs (the oracle UDF) use, not in a second pool of its own."""
+        n = 4
+        n_part = min(n, max(2, spark.sparkContext.defaultParallelism))
+
+        def pids(batches):
+            for batch in batches:
+                yield pd.DataFrame({"pid": [os.getpid()] * len(batch)})
+
+        harness_pids, sql_pids = set(), set()
+        for _ in range(2):
+            sql = spark.range(0, n, numPartitions=n_part).mapInPandas(pids, "pid long")
+            sql_pids |= {r.pid for r in sql.collect()}
+            out = harness._distribute(
+                spark, lambda payload, seed: [(os.getpid(),)], None, n, 0, "trial long, pid long"
+            )
+            harness_pids |= set(out["pid"])
+        assert harness_pids & sql_pids
+
     def test_workers_hold_no_zip_importers(self, spark):
         """A trial runs with its worker's ``zipimporter`` entries dropped
         (``spark_worker.release_zip_importers``), on a reused worker too,
@@ -194,7 +292,8 @@ class TestDistributedTrials:
 
     def test_failed_call_unpersists_its_broadcast(self, spark, monkeypatch):
         """A trial that raises fails the call, and its payload broadcast
-        is still released."""
+        is still released. A failed RDD job surfaces as a
+        ``Py4JJavaError`` that carries the trial's own error."""
         sc = spark.sparkContext
         made, released = [], []
         broadcast = sc.broadcast
@@ -215,7 +314,7 @@ class TestDistributedTrials:
             raise ValueError(f"trial {seed} failed")
 
         monkeypatch.setattr(sc, "broadcast", recording_broadcast)
-        with pytest.raises(PythonException, match="failed"):
+        with pytest.raises(Py4JJavaError, match=r"ValueError: trial \d+ failed"):
             harness._distribute(spark, fail, np.arange(10), 4, 0, "trial long, x double")
         assert len(made) == 1
         assert released == made
