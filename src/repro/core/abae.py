@@ -1,13 +1,14 @@
-"""End-to-end ABAE over a Spark DataFrame (single predicate).
+"""End-to-end ABAE over a Spark DataFrame (single predicate): select,
+then label.
 
 This is the query-processing path: the full table only ever flows
 through *cheap* Catalyst operators (two aggregates, the stratum
-expression, a hash filter); the expensive oracle UDF touches **only
-sampled rows**, which is the entire point of the paper. Apart from the
-passes that stratify the table, a query's work is O(N). The table's
-columns are fixed by name: an integral ``id``, the statistic ``value``,
-the proxy score (``proxy_col``) and the oracle's hidden label. The
-dataflow is:
+expression, a hash filter); the expensive oracle labels **only sampled
+rows**, which is the entire point of the paper. Apart from the passes
+that stratify the table, a query's work is O(N). The table's columns
+are fixed by name: an integral ``id``, the statistic ``value``, the
+proxy score (``proxy_col``) and the oracle's hidden label. The dataflow
+is:
 
 1. ``stratify_frame`` — exact proxy-quantile strata (Algorithm 1 Init).
    Two parallel aggregates over a narrow projection of the table give
@@ -20,32 +21,31 @@ dataflow is:
    m = N₁/K + N₂ rows from a stratum, so it keeps only the candidates
    whose hash lies below a threshold sized to hold m + 6√m + 32 rows of
    the smallest stratum (a margin of about 6σ). The candidates are a
-   prefix of each stratum's order, so ``row_number`` over them gives the
-   same first m ranks as over the whole stratum. The candidates are
-   coalesced into one partition before they are ranked, so the rank
-   window needs no shuffle and the oracle UDF runs in one task rather
-   than in ``spark.sql.shuffle.partitions`` of them, and the small
-   candidate frame is persisted.
-3. Stage 1 labels ranks 1..N₁/K of each stratum and collects them
-   (≤ N₁ rows). The pilot p̂_k, σ̂_k come from those rows through the
-   numpy estimator, then the allocation T̂ by Proposition 1.
+   prefix of each stratum's order. One Spark job collects their
+   (stratum, hash, id, value, hidden label), and the driver sorts them
+   into each stratum's order, so a stratum's first ranks are the first
+   of its candidates.
+3. Stage 1 labels ranks 1..N₁/K of each stratum. The pilot p̂_k, σ̂_k
+   come from those rows through the numpy estimator, then the
+   allocation T̂ by Proposition 1.
 4. Stage 2 labels ranks (N₁/K, N₁/K + ⌊N₂·T̂_k⌋] — sampling without
    replacement with sample reuse — and the final per-stratum estimates,
    the combined answer and the optional bootstrap CI (Algorithm 2) come
-   from the ≤ N collected rows. Both queries return the sampler's
+   from the ≤ N labeled rows. Both queries return the sampler's
    ``TrialResult``.
 
-Each stage reads any candidate shortfall from the rows it gets back: a
-stratum that returns fewer rows than its draws has no candidates past
-them, and its missing ranks come from the unfiltered ranking. That is
-the same order, so the sample is the same, no row is labeled twice and
-no sample comes back short. Before each oracle stage the planned row
-count is checked against the oracle's remaining budget on the driver,
-since the accumulator that meters the UDF can only be read after a job
-has labeled its rows. A query reports the calls it metered itself (the
-accumulator's growth over the query) and raises if they differ from the
-rows it labeled: an accumulator updated in a transformation counts
-again when a stage re-executes.
+A stratum whose candidates end before a stage's last rank collects the
+rows that follow its last one in the same (hash, id) order, in one more
+Spark job, so no sample comes back short and the sample is that of the
+unfiltered ranking. The oracle is ``SimulatedOracle.call`` on the
+driver, as on the numpy path, one call per stage: it checks the stage's
+rows against its remaining budget before labeling any, and no Spark task
+labels a row, so a retried task cannot label one twice. A query reports
+the calls its oracle metered over the query and raises if they differ
+from the rows it labeled. The trade-off is that the oracle does not run
+on the executors: the driver holds the candidates, about
+K·(m + 6√m + 32) rows, and a real model would take one batched call per
+stage.
 """
 from __future__ import annotations
 
@@ -55,7 +55,6 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.window import Window
 
 from repro.core.bootstrap import bootstrap_ci, check_bootstrap
 from repro.core.estimator import plugin_estimates
@@ -74,37 +73,16 @@ def _hash_threshold(m: int, size: int) -> int | None:
     return int(keep / size * 2.0**64) - 2**63
 
 
-def _rank(stratified: DataFrame) -> DataFrame:
-    """Attach each row's 1-based rank in its stratum's (hash, id) order,
-    in one partition: without the ``coalesce(1)`` the window shuffles
-    into ``spark.sql.shuffle.partitions`` tasks, and so does the oracle
-    UDF over its output."""
-    w = Window.partitionBy("stratum").orderBy("_h", "id")
-    return stratified.coalesce(1).withColumn("_rank", F.row_number().over(w))
-
-
-def _label(oracle: SimulatedOracle, ranked: DataFrame, lo: np.ndarray, hi: np.ndarray) -> DataFrame:
-    """Ranks (lo_k, hi_k] of every stratum k, labeled by the oracle.
-
-    Raises BudgetExceededError on the driver, before any row is labeled,
-    if those rows do not fit the oracle's remaining budget.
-    """
-    oracle.check_budget(int(np.maximum(hi - lo, 0).sum()))
-    # One SQL string, parsed in one call: the same predicate built from
-    # Column objects costs ~10 py4j round trips per stratum.
-    bands = " OR ".join(
-        f"(stratum = {i} AND _rank > {lo[i]} AND _rank <= {hi[i]})"
-        for i in np.flatnonzero(hi > lo)
-    )
-    return oracle.apply(ranked.filter(bands or "false"))
-
-
-def _per_stratum(labeled: pd.DataFrame, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each stratum's labeled (values, labels) in rank order."""
-    labeled = labeled.sort_values(["stratum", "_rank"])
+def _in_order(rows: pd.DataFrame, k: int, label_col: str) -> list[tuple[np.ndarray, ...]]:
+    """Each stratum's (hash, id, value, hidden label) arrays of ``rows``,
+    in the stratum's (hash, id) order."""
+    s = rows["stratum"].to_numpy(dtype=np.int64)
+    h = rows["_h"].to_numpy(dtype=np.int64)
+    ids = rows["id"].to_numpy(dtype=np.int64)
+    order = np.lexsort((ids, h, s))
     return _by_stratum(
-        labeled["stratum"].to_numpy(), k,
-        labeled["value"].to_numpy(dtype=float), labeled["oracle_label"].to_numpy(),
+        s[order], k, h[order], ids[order],
+        rows["value"].to_numpy(dtype=float)[order], rows[label_col].to_numpy()[order],
     )
 
 
@@ -112,7 +90,7 @@ def _finish(
     res: TrialResult, oracle: SimulatedOracle, calls_before: int, seed: int, n_boot: int,
     alpha: float,
 ) -> TrialResult:
-    """``res`` with its bootstrap CI (Algorithm 2) when ``n_boot`` > 0.
+    """``res`` with its bootstrap CI (Algorithm 2) unless ``n_boot`` is 0.
 
     Raises:
         RuntimeError: if the calls ``oracle`` metered since it stood at
@@ -122,7 +100,7 @@ def _finish(
     calls = oracle.calls - calls_before
     if calls != res.oracle_calls:
         raise RuntimeError(f"oracle metered {calls} calls for {res.oracle_calls} labeled rows")
-    if n_boot > 0:
+    if n_boot:
         res.ci = bootstrap_ci(
             res.samples, np.random.default_rng(seed + 7), n_boot=n_boot, alpha=alpha
         )
@@ -144,47 +122,51 @@ def abae_query(
     """Answer ``SELECT AVG(value) WHERE O(x) ORACLE LIMIT n_budget``
     with ABAE on a Spark DataFrame. See module docstring for dataflow;
     the two stages are ``core.sampler.abae_sample`` over the ranks, and
-    its result, with the CI of ``n_boot`` bootstrap resamples, is the
-    query's.
+    its result, with the CI of ``n_boot`` bootstrap resamples (none when
+    ``n_boot`` is 0), is the query's.
 
     Raises:
         ValueError: if ``n_budget`` is smaller than ``k``, if ``df``
             is empty, if its proxy column holds nulls, or, with
-            ``n_boot`` > 0, for bootstrap settings ``bootstrap_ci``
-            rejects (before any oracle call).
+            ``n_boot`` other than 0, for bootstrap settings
+            ``bootstrap_ci`` rejects (before any Spark job).
         BudgetExceededError: before a stage whose rows exceed the
             oracle's remaining budget is labeled.
         RuntimeError: if the oracle metered other than one call per
             labeled row (see :func:`_finish`).
     """
-    if n_boot > 0:
+    if n_boot:
         check_bootstrap(n_boot, alpha)
     calls_before = oracle.calls
     n1_per, n2 = split_budget(n_budget, k, stage1_frac)
-    cols = list(dict.fromkeys(["id", proxy_col, "value", oracle.label_col]))
+    label = oracle.label_col
+    cols = list(dict.fromkeys(["id", proxy_col, "value", label]))
     stratified, sizes = stratify_frame(df.select(*cols), k, proxy_col=proxy_col)
     stratified = stratified.withColumn("_h", F.xxhash64("id", F.lit(seed)))
+    out = ["stratum", "_h", "id", "value", label]
     threshold = _hash_threshold(n1_per + n2, int(sizes[-1]))
     cands = stratified if threshold is None else stratified.filter(F.col("_h") < threshold)
-    cands = _rank(cands).persist()
-    out = ["stratum", "_rank", "value", "oracle_label"]
+    held = _in_order(cands.select(*out).toPandas(), k, label)
 
     def draw(lo: np.ndarray, hi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        labeled = _label(oracle, cands, lo, hi).select(*out).toPandas()
-        # A stratum's candidates are a prefix of its order: the rows it
-        # returns end where its candidates do, or at hi.
-        have = lo + np.bincount(labeled["stratum"].to_numpy(dtype=np.int64), minlength=k)
-        if (have < hi).any():  # candidate shortfall: top up from the full ranking
-            topup = _label(oracle, _rank(stratified), have, hi).select(*out).toPandas()
-            labeled = pd.concat([labeled, topup], ignore_index=True)
-        return _per_stratum(labeled, k)
+        oracle.check_budget(int((hi - lo).sum()))
+        for i in np.flatnonzero([h.size < e for (h, *_), e in zip(held, hi)]):
+            # Candidate shortfall: the rows after the stratum's last one
+            # held, in its (hash, id) order.
+            h, ids = held[i][0], held[i][1]
+            after = F.col("stratum") == int(i)
+            if h.size:
+                last_h, last_id = F.lit(int(h[-1])), F.lit(int(ids[-1]))
+                later = (F.col("_h") == last_h) & (F.col("id") > last_id)
+                after &= (F.col("_h") > last_h) | later
+            more = stratified.filter(after).select(*out).orderBy("_h", "id")
+            more = _in_order(more.limit(int(hi[i]) - h.size).toPandas(), k, label)[i]
+            held[i] = tuple(np.concatenate(pair) for pair in zip(held[i], more))
+        ranks = [(v[a:b], l[a:b]) for (_, _, v, l), a, b in zip(held, lo, hi)]
+        labels = oracle.call(np.concatenate([l for _, l in ranks])).astype(np.int64)
+        return list(zip([v for v, _ in ranks], np.split(labels, np.cumsum(hi - lo)[:-1])))
 
-    try:
-        res = abae_sample(sizes, n_budget, draw, stage1_frac=stage1_frac)
-    finally:
-        # Blocking, so the block removal does not run on into the next job.
-        cands.unpersist(blocking=True)
-
+    res = abae_sample(sizes, n_budget, draw, stage1_frac=stage1_frac)
     return _finish(res, oracle, calls_before, seed, n_boot, alpha)
 
 
@@ -204,21 +186,15 @@ def uniform_query(
 
     The sample is the top ``n_budget`` by (hash, id) of a narrow
     projection, via ``orderBy().limit()``: a parallel top-k, where a
-    global rank window would sort every row in one task. On its own,
-    that plan compiles to TakeOrderedAndProject, whose projection — and
-    with it the oracle UDF — is evaluated on the driver outside any
-    task, losing the accumulator updates that meter the oracle budget.
-    The ``coalesce(1)`` between the limit and the oracle puts the UDF
-    back inside a task — the one that merges the per-partition top-k —
-    so every call is metered, in one Spark job of two stages (a
-    ``repartition(1)`` there would add a shuffle and a second job). The
-    query plans ``n_budget`` calls and raises BudgetExceededError
-    before labeling if they exceed the oracle's remaining budget,
+    global rank window would sort every row in one task. It is
+    collected in that order and labeled on the driver in one oracle
+    call. The query raises BudgetExceededError before labeling if
+    ``n_budget`` calls exceed the oracle's remaining budget,
     RuntimeError if the oracle metered other than one call per labeled
-    row, and, with ``n_boot`` > 0, ValueError before labeling for
-    bootstrap settings ``bootstrap_ci`` rejects.
+    row, and, with ``n_boot`` other than 0, ValueError before any Spark
+    job for bootstrap settings ``bootstrap_ci`` rejects.
     """
-    if n_boot > 0:
+    if n_boot:
         check_bootstrap(n_boot, alpha)
     calls_before = oracle.calls
     oracle.check_budget(n_budget)
@@ -227,17 +203,9 @@ def uniform_query(
         .withColumn("_h", F.xxhash64("id", F.lit(seed)))
         .orderBy("_h", "id")
         .limit(n_budget)
-        .coalesce(1)
-    )
-    # The merged top-k comes out in (hash, id) order, but Spark does not
-    # promise that order, so it is restored on the driver.
-    pdf = (
-        oracle.apply(sampled)
-        .select("_h", "id", "value", "oracle_label")
         .toPandas()
-        .sort_values(["_h", "id"])
     )
-    v = pdf["value"].to_numpy(dtype=float)
-    l = pdf["oracle_label"].to_numpy()
+    v = sampled["value"].to_numpy(dtype=float)
+    l = oracle.call(sampled[oracle.label_col].to_numpy()).astype(np.int64)
     res = TrialResult(estimate=plugin_estimates(v, l).mu_hat, oracle_calls=v.size, samples=[(v, l)])
     return _finish(res, oracle, calls_before, seed, n_boot, alpha)

@@ -3,9 +3,9 @@
 The paper runs every condition 1,000 times. A single trial is a cheap
 numpy kernel (core.sampler / core.groupby); the fleet of trials is
 embarrassingly parallel, so we distribute it as one RDD job over the
-seed range, in the SQL UDF workers: the per-stratum arrays are
-broadcast once per call, each executor core runs its share of seeds,
-and only (trial, estimate, ci) rows come back. This is the distributed_dataflow shape of
+seed range: the per-stratum arrays are broadcast once per call, each
+executor core runs its share of seeds, and only (trial, estimate, ci)
+rows come back. This is the distributed_dataflow shape of
 the reproduction — dataset-scan work (stratification) happens in
 Catalyst, trial replication happens across the cluster.
 
@@ -73,10 +73,9 @@ def _distribute(
     ``schema`` is the DDL of the output rows, the leading ``trial long``
     included; ``long`` columns come back as int64 and ``double`` as
     float64. With ``spark`` the seeds are one RDD job over the seed
-    range, in the SQL UDF workers, and ``data`` is broadcast once;
-    without it they run in a local loop. The range has ``n_part``
-    partitions and ``collect`` keeps their order, so the rows come back
-    in seed order.
+    range, and ``data`` is broadcast once; without it they run in a
+    local loop. The range has ``n_part`` partitions and ``collect``
+    keeps their order, so the rows come back in seed order.
 
     Raises:
         ValueError: if ``n_trials`` < 1.
@@ -90,12 +89,6 @@ def _distribute(
         rows = [(i, *r) for i in range(n_trials) for r in fn(data, base_seed + i)]
     else:
         sc = spark.sparkContext
-        # Spark keys its Python worker pools by the task environment, and
-        # its SQL Python runners (the oracle UDF's) add this variable.
-        # Without it here, an RDD job starts a second daemon and a second
-        # pool of workers.
-        if spark.conf.get("spark.sql.execution.pyspark.udf.simplifiedTraceback.enabled") == "true":
-            sc.environment["SPARK_SIMPLIFIED_TRACEBACK"] = "1"
         bc = sc.broadcast(data)
 
         def worker(seeds: Iterator[int]) -> Iterator[tuple]:

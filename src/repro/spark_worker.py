@@ -1,4 +1,5 @@
-"""Set-up for the functions this program runs in Spark's Python workers.
+"""Set-up for the one function this program runs in Spark's Python
+workers, the harness's trial worker.
 
 pyspark's worker calls ``importlib.invalidate_caches()`` at the start of
 every task (``pyspark.worker_util.setup_spark_files``). On Python 3.11

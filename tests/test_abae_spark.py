@@ -261,9 +261,10 @@ class TestWindowStrataIdentity:
         assert res.ci == bootstrap_ci(ref, np.random.default_rng(seed + 7), n_boot=200)
 
     def test_no_stage_runs_shuffle_partitions_tasks(self, spark, ns_big_df):
-        """The rank window runs on coalesced candidates: a shuffle into
-        ``spark.sql.shuffle.partitions`` tasks would run the oracle UDF
-        in as many."""
+        """The query's jobs (the stratifying aggregates and the
+        candidate collect) shuffle into no ``spark.sql.shuffle.partitions``
+        tasks: the candidates are a filter of the table, collected as they
+        are read."""
         sc = spark.sparkContext
         group = "test-abae-query-tasks"
         sc.setJobGroup(group, "abae_query")
@@ -293,22 +294,21 @@ class TestMetering:
         assert r1.oracle_calls + r2.oracle_calls == oracle.calls
 
     def test_double_metering_raises(self, ns_df, query):
-        """A labeled frame evaluated twice meters its rows twice; the
-        query raises instead of reporting those calls."""
+        """An oracle that meters each labeled row twice: the query
+        raises instead of reporting those calls."""
         oracle = SimulatedOracle("label")
-        apply = oracle.apply
+        call = oracle.call
 
-        def apply_twice(df):
-            labeled = apply(df)
-            labeled.select("oracle_label").collect()
-            return labeled
+        def call_twice(values):
+            oracle.charge(len(values))
+            return call(values)
 
-        oracle.apply = apply_twice
+        oracle.call = call_twice
         with pytest.raises(RuntimeError, match="metered"):
             query(ns_df, n_budget=600, oracle=oracle, seed=3)
 
 
-    @pytest.mark.parametrize("n_boot, alpha", [(100, 0.0), (100, 1.0), (100, 1.5)])
+    @pytest.mark.parametrize("n_boot, alpha", [(100, 0.0), (100, 1.0), (100, 1.5), (-1, 0.05)])
     def test_bad_bootstrap_rejected_before_any_call(self, spark, ns_df, query, n_boot, alpha):
         """Bootstrap settings with no percentile interval are rejected
         before a row is labeled or a Spark job runs."""
@@ -345,8 +345,8 @@ class TestUniformQuery:
         assert res.estimate == pytest.approx(truth, rel=0.25)
 
     def test_runs_from_a_thread(self, ns_df):
-        """A thread has no active session; the oracle takes the session
-        from the frame it labels."""
+        """A thread has no active session; the query runs on the frame's
+        session and labels its sample on the calling thread."""
 
         def query():
             return uniform_query(ns_df, n_budget=300, oracle=SimulatedOracle("label"), seed=3)

@@ -2,8 +2,6 @@
 runner and its local fallback."""
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pytest
@@ -244,26 +242,6 @@ class TestDistributedTrials:
 
         group = f"test-harness-bad-bootstrap-{n_boot}-{alpha}"
         assert self._jobs_in_group(spark, group, call) == []
-
-    def test_trials_share_the_sql_udf_workers(self, spark):
-        """A harness call runs in the Python workers that SQL Python
-        jobs (the oracle UDF) use, not in a second pool of its own."""
-        n = 4
-        n_part = min(n, max(2, spark.sparkContext.defaultParallelism))
-
-        def pids(batches):
-            for batch in batches:
-                yield pd.DataFrame({"pid": [os.getpid()] * len(batch)})
-
-        harness_pids, sql_pids = set(), set()
-        for _ in range(2):
-            sql = spark.range(0, n, numPartitions=n_part).mapInPandas(pids, "pid long")
-            sql_pids |= {r.pid for r in sql.collect()}
-            out = harness._distribute(
-                spark, lambda payload, seed: [(os.getpid(),)], None, n, 0, "trial long, pid long"
-            )
-            harness_pids |= set(out["pid"])
-        assert harness_pids & sql_pids
 
     def test_workers_hold_no_zip_importers(self, spark):
         """A trial runs with its worker's ``zipimporter`` entries dropped

@@ -1,11 +1,12 @@
-"""A retried oracle task keeps ``ORACLE LIMIT N`` exact and the answer
-unchanged.
+"""A retried task keeps ``ORACLE LIMIT N`` exact and the answer unchanged.
 
 A process holds one SparkContext, so the query runs in a child process
 (this file run as a script) on a ``local[2,2]`` master: each task gets
-two tries. The child answers the same ABAE query twice, first through an
-oracle whose UDF fails every task's first attempt after metering its
-rows, then through a plain oracle, and prints both results as JSON.
+two tries. The child answers the same ABAE query twice, first on a frame
+whose ``value`` column goes through a Python UDF that fails every task's
+first attempt, so the candidate scan is retried, then on the plain frame,
+and prints both results as JSON. Both runs count the rows passed to the
+oracle.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ import pathlib
 import subprocess
 import sys
 
-import pandas as pd  # module-level: ``pandas_udf`` resolves its hints here
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -24,7 +24,8 @@ SEED = 3
 
 
 def _query_twice() -> dict:
-    """Both runs' estimate, calls, failed tasks and samples."""
+    """Both runs' estimate, calls, oracle invocations, failed tasks and
+    samples."""
     from pyspark import TaskContext
     from pyspark.sql import SparkSession
     from pyspark.sql import functions as F
@@ -33,24 +34,23 @@ def _query_twice() -> dict:
     from repro.simulate import datasets as D
     from repro.simulate.oracles import SimulatedOracle
 
-    class FirstAttemptFails(SimulatedOracle):
-        """Meters its rows, then fails on a task's first attempt."""
+    class CountingOracle(SimulatedOracle):
+        """Counts the rows passed to :meth:`call`, its invocations."""
 
-        def spark_udf(self, spark):
-            if self._udf is None:
-                acc = self._acc = spark.sparkContext.accumulator(0)
+        invoked = 0
 
-                @F.pandas_udf("long")
-                def _oracle(col: pd.Series) -> pd.Series:
-                    acc.add(len(col))
-                    if TaskContext.get().attemptNumber() == 0:
-                        raise RuntimeError("injected first-attempt failure")
-                    return col.astype("int64")
-
-                self._udf = _oracle
-            return self._udf
+        def call(self, values):
+            self.invoked += len(values)
+            return super().call(values)
 
     spark = SparkSession.builder.appName("task-retry").getOrCreate()
+
+    @F.udf("double")
+    def first_attempt_fails(value):
+        if TaskContext.get().attemptNumber() == 0:
+            raise RuntimeError("injected first-attempt failure")
+        return value
+
     tracker = spark.sparkContext.statusTracker()
 
     def failed_tasks() -> int:
@@ -62,13 +62,16 @@ def _query_twice() -> dict:
         return sum(s.numFailedTasks for s in stages if s is not None)
 
     df = D.load("night_street", scale=0.05).to_spark(spark)
+    flaky = df.withColumn("value", first_attempt_fails("value"))
     out = {}
-    for name, oracle in (("retried", FirstAttemptFails()), ("plain", SimulatedOracle())):
+    for name, frame in (("retried", flaky), ("plain", df)):
+        oracle = CountingOracle()
         before = failed_tasks()
-        res = abae_query(df, n_budget=N_BUDGET, oracle=oracle, seed=SEED)
+        res = abae_query(frame, n_budget=N_BUDGET, oracle=oracle, seed=SEED)
         out[name] = {
             "estimate": res.estimate,
             "calls": oracle.calls,
+            "invoked": oracle.invoked,
             "failed_tasks": failed_tasks() - before,
             "samples": [[v.tolist(), l.tolist()] for v, l in res.samples],
         }
@@ -79,6 +82,9 @@ def _query_twice() -> dict:
 @pytest.mark.spark
 @pytest.mark.slow
 def test_retried_oracle_task_gives_the_same_query():
+    """A retried scan task: the same estimate, samples and calls as the
+    plain run, and on both, rows passed to the oracle == metered calls
+    == Σ|samples|."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     submit = (
         "--master local[2,2] --driver-memory 1g --conf spark.driver.host=127.0.0.1 "
@@ -94,8 +100,10 @@ def test_retried_oracle_task_gives_the_same_query():
     assert retried["failed_tasks"] > 0 and plain["failed_tasks"] == 0
     assert retried["estimate"] == plain["estimate"]
     assert retried["samples"] == plain["samples"]
-    labeled = sum(len(v) for v, _ in retried["samples"])
-    assert retried["calls"] == labeled == plain["calls"]
+    for run in (retried, plain):
+        labeled = sum(len(v) for v, _ in run["samples"])
+        assert run["invoked"] == run["calls"] == labeled
+    assert retried["calls"] == plain["calls"]
 
 
 if __name__ == "__main__":
